@@ -105,25 +105,3 @@ func BenchmarkCVEngine2048(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCVEngineBoxed2048 is the same workload through the boxed
-// compatibility adapter (the pre-typed production path), for the
-// before/after comparison the README records.
-func BenchmarkCVEngineBoxed2048(b *testing.B) {
-	g, err := graph.NewCycle(2048, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	machines := make([]engine.Machine, g.NumNodes())
-	for v := range machines {
-		machines[v] = &cvMachine{}
-	}
-	e := engine.New(engine.Options{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(g, machines, 1, false, 1<<20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 	"locallab/internal/sinkless"
 )
 
@@ -324,7 +323,7 @@ func RunRelayNative(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID)
 		typed[v] = &machines[v]
 	}
 	maxRounds := int(superLen)*nativeMaxVMRounds + 1
-	stats, err := local.RunStatsTyped(eng, g, typed, seed, false, maxRounds)
+	stats, err := engine.NewCore[natMsg](eng.Options()).RunStats(g, typed, seed, false, maxRounds)
 	if err != nil {
 		return nil, fmt.Errorf("run native relay: %w", err)
 	}

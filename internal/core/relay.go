@@ -6,7 +6,6 @@ import (
 	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 )
 
 // The payload relay plane: the physical realization of the inner
@@ -203,7 +202,7 @@ func RunRelay(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID) bool,
 	var stats engine.Stats
 	var err error
 	if itc == nil {
-		stats, err = local.RunStatsTyped(eng, g, typed, seed, false, maxRounds)
+		stats, err = engine.NewCore[relayMsg](eng.Options()).RunStats(g, typed, seed, false, maxRounds)
 	} else {
 		sess, serr := engine.NewCore[relayMsg](eng.Options()).NewSession(g, typed)
 		if serr != nil {

@@ -5,7 +5,6 @@ import (
 
 	"locallab/internal/engine"
 	"locallab/internal/graph"
-	"locallab/internal/local"
 )
 
 // This file is the *mask plane*: Lemma 4's virtual-round schedule
@@ -128,7 +127,7 @@ func RunSimulation(eng *engine.Engine, g *graph.Graph, scope func(graph.EdgeID) 
 	for v := range machines {
 		typed[v] = &machines[v]
 	}
-	stats, err := local.RunStatsTyped(eng, g, typed, 0, false, int(target)+1)
+	stats, err := engine.NewCore[simMsg](eng.Options()).RunStats(g, typed, 0, false, int(target)+1)
 	if err != nil {
 		return nil, fmt.Errorf("run simulation: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 )
 
 // This file defines the inner algorithm as a *native machine* on the
@@ -394,7 +393,7 @@ func RunVirtual(eng *engine.Engine, vg *VirtualGraph, table *FactTable,
 		}
 		typed[vi] = &adapters[vi]
 	}
-	stats, err := local.RunStatsTyped(eng, vg.H, typed, seed, false, 2*nv+8)
+	stats, err := engine.NewCore[vmMsg](eng.Options()).RunStats(vg.H, typed, seed, false, 2*nv+8)
 	if err != nil {
 		return nil, fmt.Errorf("run virtual: %w", err)
 	}

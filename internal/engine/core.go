@@ -9,9 +9,8 @@ import (
 	"locallab/internal/graph"
 )
 
-// TypedMachine is the unboxed counterpart of Machine: the per-node
-// program of a synchronous message-passing algorithm whose messages are
-// concrete values of type M instead of interface{}.
+// TypedMachine is the per-node program of a synchronous message-passing
+// algorithm whose messages are concrete values of type M.
 //
 // Round consumes the messages received on each port (recv[p] is the
 // message from port p's neighbor) and writes the messages to send into
@@ -20,15 +19,16 @@ import (
 // state. Both slices have length Degree and alias the engine's flat
 // message planes, so no per-round allocation happens on either side.
 //
-// Contract differences from the boxed Machine interface:
+// Contract:
 //
-//   - There is no nil/silence notion: every port carries a value of M
-//     every round. Machines must write every send slot on every call —
-//     the buffers are reused across rounds, so an unwritten slot would
-//     deliver the previous round's message.
+//   - There is no silence: every port carries a value of M every round,
+//     and every port slot of every delivery phase counts as a delivery.
+//     Machines must write every send slot on every call — the buffers
+//     are reused across rounds, so an unwritten slot would deliver the
+//     previous round's message.
 //   - In the first Round call no messages have arrived yet and recv
 //     holds zero values of M; machines must track their own round count
-//     instead of probing recv for nil.
+//     instead of probing recv.
 //   - recv and send contents are only valid during the call; machines
 //     that need a received value later must copy it into their state.
 type TypedMachine[M any] interface {
@@ -71,24 +71,17 @@ type Interceptor[M any] interface {
 }
 
 // Core is the generics-based execution core: the engine's sharded
-// worker-pool round loop over a typed, unboxed message plane. A Core
-// holds only options; per-execution state lives in Sessions, so one Core
-// can serve many graphs. The boxed Engine API is a thin adapter over
-// Core[Message].
+// worker-pool round loop over a typed message plane. A Core holds only
+// options; per-execution state lives in Sessions, so one Core can serve
+// many graphs.
 type Core[M any] struct {
 	opts Options
-	// silent, when non-nil, classifies a delivered message as absent for
-	// Stats.Deliveries. Only the boxed compatibility adapter sets it (nil
-	// Messages are silent there); the typed plane itself has no silence
-	// notion and counts every slot of every delivery phase.
-	silent func(M) bool
 }
 
-// NewCore returns a typed execution core with the given options. For
-// Core, Options.Sequential selects the inline (pool-free) execution mode
-// with workers=shards=1; the semantics are identical by construction,
-// and the independent differential-testing oracle remains the boxed
-// runSequential reference.
+// NewCore returns a typed execution core with the given options.
+// Options.Sequential selects the inline (pool-free) execution mode with
+// workers=shards=1; the semantics are identical by construction, and
+// RunReference is the independent oracle both modes are tested against.
 func NewCore[M any](opts Options) *Core[M] { return &Core[M]{opts: opts} }
 
 // Run executes machines on g until every machine reports done or
@@ -121,7 +114,6 @@ func (c *Core[M]) RunStats(g *graph.Graph, machines []TypedMachine[M], masterSee
 // pool; a Session that only ever ran in sequential mode needs no Close,
 // but calling it is always safe.
 type Session[M any] struct {
-	core     *Core[M]
 	g        *graph.Graph
 	machines []TypedMachine[M]
 	n        int
@@ -192,7 +184,6 @@ func (c *Core[M]) NewSession(g *graph.Graph, machines []TypedMachine[M]) (*Sessi
 	}
 	total := g.NumPorts()
 	s := &Session[M]{
-		core:           c,
 		g:              g,
 		machines:       machines,
 		n:              n,
@@ -332,35 +323,16 @@ func (s *Session[M]) deliverShard(i int) {
 	recv, send, route := s.recv, s.send, s.route
 	if itc := s.itc; itc != nil {
 		// Fault-injection path: every in-flight message passes through
-		// the interceptor. Deliveries are counted after interception —
-		// what the receiver observes is what crossed the edge.
-		delivered := int64(0)
+		// the interceptor; what it returns is what the receiver observes.
 		for p := lo; p < hi; p++ {
-			m := itc.Deliver(p, send[route[p]])
-			recv[p] = m
-			if s.core.silent == nil || !s.core.silent(m) {
-				delivered++
-			}
+			recv[p] = itc.Deliver(p, send[route[p]])
 		}
-		s.shardDelivered[i].v += delivered
-		return
-	}
-	if s.core.silent == nil {
+	} else {
 		for p := lo; p < hi; p++ {
 			recv[p] = send[route[p]]
 		}
-		s.shardDelivered[i].v += int64(hi - lo)
-		return
 	}
-	delivered := int64(0)
-	for p := lo; p < hi; p++ {
-		m := send[route[p]]
-		recv[p] = m
-		if !s.core.silent(m) {
-			delivered++
-		}
-	}
-	s.shardDelivered[i].v += delivered
+	s.shardDelivered[i].v += int64(hi - lo)
 }
 
 // SetInterceptor installs (or, with nil, removes) the delivery

@@ -7,30 +7,18 @@ import (
 	"locallab/internal/graph"
 )
 
-// typedGossip is the unboxed twin of gossipMachine: same digest
-// recurrence, but messages are concrete int64 values written into the
-// engine-owned send plane. Because the typed plane has no silence, it
-// always sends on every port — exactly like gossipMachine, whose boxed
-// sequential execution therefore serves as the differential oracle.
-type typedGossip struct {
-	id     int64
-	degree int
-	digest uint64
-	rounds int
-	target int
+// boxedGossip is gossipMachine over boxed messages: the same digest
+// recurrence, with every value carried as an interface. The first round
+// is skipped by the round count, so the nil zero values never reach the
+// type assertion.
+type boxedGossip struct {
+	gossipMachine
 }
 
-func (m *typedGossip) Init(info engine.NodeInfo) {
-	m.id = info.ID
-	m.degree = info.Degree
-	m.digest = uint64(info.ID) * 0x9e3779b97f4a7c15
-	m.rounds = 0
-}
-
-func (m *typedGossip) Round(recv, send []int64) bool {
+func (m *boxedGossip) Round(recv, send []any) bool {
 	if m.rounds > 0 {
 		for p, r := range recv {
-			m.digest = m.digest*31 + uint64(r) + uint64(p)
+			m.digest = m.digest*31 + uint64(r.(int64)) + uint64(p)
 		}
 	}
 	m.rounds++
@@ -40,84 +28,33 @@ func (m *typedGossip) Round(recv, send []int64) bool {
 	return m.rounds >= m.target
 }
 
-// boxedGossipNoNil matches typedGossip on the boxed engine: it skips the
-// nil probe (messages always present after round one) so the digest
-// recurrences line up exactly.
-type boxedGossipNoNil struct {
-	typedGossip
-}
-
-func (m *boxedGossipNoNil) Round(recv []engine.Message) ([]engine.Message, bool) {
-	if m.rounds > 0 {
-		for p, r := range recv {
-			m.digest = m.digest*31 + uint64(r.(int64)) + uint64(p)
-		}
-	}
-	m.rounds++
-	send := make([]engine.Message, m.degree)
-	for p := range send {
-		send[p] = int64(m.digest>>1) + int64(p)
-	}
-	return send, m.rounds >= m.target
-}
-
-func typedDigests(t testing.TB, g *graph.Graph, opts engine.Options) ([]uint64, engine.Stats) {
-	t.Helper()
-	machines := make([]typedGossip, g.NumNodes())
-	typed := make([]engine.TypedMachine[int64], g.NumNodes())
-	for v := range typed {
-		machines[v].target = 20
-		typed[v] = &machines[v]
-	}
-	stats, err := engine.NewCore[int64](opts).RunStats(g, typed, 42, false, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]uint64, g.NumNodes())
-	for v := range out {
-		out[v] = machines[v].digest
-	}
-	return out, stats
-}
-
-// TestTypedCoreMatchesBoxedOracle differential-tests the typed core —
-// pooled across a worker/shard grid and in the inline sequential mode —
-// against the boxed sequential reference running the equivalent boxed
-// machine. Digests, rounds, and deliveries must be identical: with no
-// silent ports the boxed non-nil delivery count equals the typed
-// all-slots count.
+// TestTypedCoreMatchesBoxedOracle differential-tests the typed Core —
+// pooled across the worker/shard grid and in the inline mode — against
+// RunReference instantiated on boxed messages (M = any) running the
+// equivalent boxed machine. The two share neither execution code nor a
+// message representation, so digests, rounds, and deliveries must agree
+// for reasons other than a common implementation.
 func TestTypedCoreMatchesBoxedOracle(t *testing.T) {
-	configs := []engine.Options{
-		{Sequential: true},
-		{Workers: 1, Shards: 1},
-		{Workers: 1, Shards: 5},
-		{Workers: 3, Shards: 7},
-		{Workers: 8, Shards: 32},
-		{Workers: 16, Shards: 1000}, // more shards than nodes
-		{},                          // defaults
-	}
 	for name, g := range testGraphs(t) {
-		machines := make([]engine.Machine, g.NumNodes())
-		for v := range machines {
-			machines[v] = &boxedGossipNoNil{typedGossip{target: 20}}
+		machines := make([]boxedGossip, g.NumNodes())
+		boxed := make([]engine.TypedMachine[any], g.NumNodes())
+		for v := range boxed {
+			machines[v].target = 20
+			boxed[v] = &machines[v]
 		}
-		wantStats, err := engine.New(engine.Options{Sequential: true}).RunStats(g, machines, 42, false, 100)
+		wantStats, err := engine.RunReference(g, boxed, 42, false, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([]uint64, g.NumNodes())
-		for v := range machines {
-			want[v] = machines[v].(*boxedGossipNoNil).digest
-		}
-		for _, opts := range configs {
-			got, stats := typedDigests(t, g, opts)
+		for _, opts := range shardedConfigs {
+			got, stats := digests(t, g, "gossip", engine.NewCore[int64](opts).RunStats)
 			if stats.Rounds != wantStats.Rounds || stats.Deliveries != wantStats.Deliveries {
 				t.Errorf("%s %+v: stats rounds=%d deliveries=%d, want rounds=%d deliveries=%d",
 					name, opts, stats.Rounds, stats.Deliveries, wantStats.Rounds, wantStats.Deliveries)
 			}
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("%s %+v: node %d digest %x, want %x", name, opts, v, got[v], want[v])
+			for v := range machines {
+				if got[v] != machines[v].digest {
+					t.Fatalf("%s %+v: node %d digest %x, want %x", name, opts, v, got[v], machines[v].digest)
 				}
 			}
 		}
@@ -132,7 +69,7 @@ func TestSessionReuseAndStepping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machines := make([]typedGossip, g.NumNodes())
+	machines := make([]gossipMachine, g.NumNodes())
 	typed := make([]engine.TypedMachine[int64], g.NumNodes())
 	for v := range typed {
 		machines[v].target = 12
@@ -185,7 +122,8 @@ func TestSessionReuseAndStepping(t *testing.T) {
 	}
 }
 
-// TestTypedCoreMachineCountMismatch mirrors the boxed validation.
+// TestTypedCoreMachineCountMismatch: the Core validates the machine set
+// against the graph like RunReference does.
 func TestTypedCoreMachineCountMismatch(t *testing.T) {
 	g, err := graph.NewCycle(5, 0)
 	if err != nil {
@@ -202,7 +140,7 @@ func TestTypedCoreRoundLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machines := make([]typedGossip, g.NumNodes())
+	machines := make([]gossipMachine, g.NumNodes())
 	typed := make([]engine.TypedMachine[int64], g.NumNodes())
 	for v := range typed {
 		machines[v].target = 1 << 30 // never done
@@ -235,7 +173,7 @@ func TestTypedCoreSteadyStateAllocs(t *testing.T) {
 		{"pooled", engine.Options{Workers: 4, Shards: 16}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			machines := make([]typedGossip, g.NumNodes())
+			machines := make([]gossipMachine, g.NumNodes())
 			typed := make([]engine.TypedMachine[int64], g.NumNodes())
 			for v := range typed {
 				machines[v].target = 1 << 30
@@ -257,16 +195,14 @@ func TestTypedCoreSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkCoreTyped2048 is the unboxed counterpart of BenchmarkPool2048:
-// the same gossip workload with concrete int64 messages on the typed
-// core. Compare ns/op and allocs/op against the boxed benchmarks below
-// it in this package.
+// BenchmarkCoreTyped2048 measures whole executions — Reset plus every
+// round — of the gossip workload on a reused pooled session.
 func BenchmarkCoreTyped2048(b *testing.B) {
 	g, err := graph.NewRandomRegular(2048, 3, 5, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	machines := make([]typedGossip, g.NumNodes())
+	machines := make([]gossipMachine, g.NumNodes())
 	typed := make([]engine.TypedMachine[int64], g.NumNodes())
 	for v := range typed {
 		machines[v].target = 16
@@ -294,7 +230,7 @@ func BenchmarkCoreTypedSteadyState2048(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	machines := make([]typedGossip, g.NumNodes())
+	machines := make([]gossipMachine, g.NumNodes())
 	typed := make([]engine.TypedMachine[int64], g.NumNodes())
 	for v := range typed {
 		machines[v].target = 1 << 30

@@ -12,7 +12,8 @@ import (
 // gossipMachine runs a fixed number of rounds, each round folding the
 // received values into a running digest and sending a value derived from
 // it on every port. Its final digest depends on every message of every
-// round, so any delivery or ordering bug in the runtime changes it.
+// round, so any delivery or ordering bug in the runtime changes it. The
+// first round has nothing to digest: recv holds zero values there.
 type gossipMachine struct {
 	id     int64
 	degree int
@@ -28,19 +29,17 @@ func (m *gossipMachine) Init(info engine.NodeInfo) {
 	m.rounds = 0
 }
 
-func (m *gossipMachine) Round(recv []engine.Message) ([]engine.Message, bool) {
-	for p, r := range recv {
-		if r == nil {
-			continue
+func (m *gossipMachine) Round(recv, send []int64) bool {
+	if m.rounds > 0 {
+		for p, r := range recv {
+			m.digest = m.digest*31 + uint64(r) + uint64(p)
 		}
-		m.digest = m.digest*31 + uint64(r.(int64)) + uint64(p)
 	}
 	m.rounds++
-	send := make([]engine.Message, m.degree)
 	for p := range send {
 		send[p] = int64(m.digest>>1) + int64(p)
 	}
-	return send, m.rounds >= m.target
+	return m.rounds >= m.target
 }
 
 // rngMachine exercises the randomized initialization path: every round it
@@ -56,38 +55,17 @@ func (m *rngMachine) Init(info engine.NodeInfo) {
 	m.info = info
 }
 
-func (m *rngMachine) Round(recv []engine.Message) ([]engine.Message, bool) {
-	for _, r := range recv {
-		if r == nil {
-			continue
+func (m *rngMachine) Round(recv, send []int64) bool {
+	if m.rounds > 0 {
+		for _, r := range recv {
+			m.digest = m.digest*33 + uint64(r)
 		}
-		m.digest = m.digest*33 + uint64(r.(int64))
 	}
 	m.rounds++
-	send := make([]engine.Message, m.degree)
 	for p := range send {
 		send[p] = m.info.RNG.Int63()
 	}
-	return send, m.rounds >= m.target
-}
-
-// silentMachine stays silent on odd ports and returns a short send slice,
-// exercising the nil-message and short-outbox delivery paths.
-type silentMachine struct {
-	gossipMachine
-}
-
-func (m *silentMachine) Round(recv []engine.Message) ([]engine.Message, bool) {
-	send, done := m.gossipMachine.Round(recv)
-	for p := range send {
-		if p%2 == 1 {
-			send[p] = nil
-		}
-	}
-	if len(send) > 1 {
-		send = send[:len(send)-1]
-	}
-	return send, done
+	return m.rounds >= m.target
 }
 
 func testGraphs(t testing.TB) map[string]*graph.Graph {
@@ -117,63 +95,63 @@ func testGraphs(t testing.TB) map[string]*graph.Graph {
 	return out
 }
 
+// runFunc is the shape shared by RunReference and Core.RunStats.
+type runFunc func(*graph.Graph, []engine.TypedMachine[int64], int64, bool, int) (engine.Stats, error)
+
 // digests runs fresh machines of the given flavor through run and returns
-// the per-node digests plus the executed rounds.
-func digests(t testing.TB, g *graph.Graph, flavor string, randomized bool, run func(*graph.Graph, []engine.Machine, int64, bool, int) (int, error)) ([]uint64, int) {
+// the per-node digests plus the execution profile.
+func digests(t testing.TB, g *graph.Graph, flavor string, run runFunc) ([]uint64, engine.Stats) {
 	t.Helper()
-	machines := make([]engine.Machine, g.NumNodes())
-	extract := make([]func() uint64, g.NumNodes())
+	machines := make([]engine.TypedMachine[int64], g.NumNodes())
+	gossip := make([]*gossipMachine, g.NumNodes())
 	for v := range machines {
 		switch flavor {
 		case "gossip":
 			m := &gossipMachine{target: 20}
-			machines[v] = m
-			extract[v] = func() uint64 { return m.digest }
+			machines[v], gossip[v] = m, m
 		case "rng":
 			m := &rngMachine{gossipMachine: gossipMachine{target: 20}}
-			machines[v] = m
-			extract[v] = func() uint64 { return m.digest }
-		case "silent":
-			m := &silentMachine{gossipMachine: gossipMachine{target: 20}}
-			machines[v] = m
-			extract[v] = func() uint64 { return m.digest }
+			machines[v], gossip[v] = m, &m.gossipMachine
 		default:
 			t.Fatalf("unknown flavor %q", flavor)
 		}
 	}
-	rounds, err := run(g, machines, 42, randomized, 100)
+	stats, err := run(g, machines, 42, flavor == "rng", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]uint64, g.NumNodes())
 	for v := range out {
-		out[v] = extract[v]()
+		out[v] = gossip[v].digest
 	}
-	return out, rounds
+	return out, stats
 }
 
-// TestShardedMatchesSequential differential-tests the sharded pool against
-// the sequential oracle over graph shapes, machine flavors, and a grid of
-// worker/shard configurations. Outputs must be byte-identical.
+// shardedConfigs is the worker/shard grid the Core is differential-tested
+// over, plus the inline mode and the package defaults.
+var shardedConfigs = []engine.Options{
+	{Sequential: true},
+	{Workers: 1, Shards: 1},
+	{Workers: 1, Shards: 5},
+	{Workers: 2, Shards: 2},
+	{Workers: 3, Shards: 7},
+	{Workers: 8, Shards: 32},
+	{Workers: 16, Shards: 1000}, // more shards than nodes
+	{},                          // defaults
+}
+
+// TestShardedMatchesSequential differential-tests the Core — pooled
+// across a worker/shard grid and in the inline mode — against the
+// independent RunReference over graph shapes and machine flavors.
+// Digests and rounds must be byte-identical.
 func TestShardedMatchesSequential(t *testing.T) {
-	configs := []engine.Options{
-		{Workers: 1, Shards: 1},
-		{Workers: 1, Shards: 5},
-		{Workers: 2, Shards: 2},
-		{Workers: 3, Shards: 7},
-		{Workers: 8, Shards: 32},
-		{Workers: 16, Shards: 1000}, // more shards than nodes
-		{},                          // defaults
-	}
 	for name, g := range testGraphs(t) {
-		for _, flavor := range []string{"gossip", "rng", "silent"} {
-			randomized := flavor == "rng"
-			want, wantRounds := digests(t, g, flavor, randomized, engine.RunSequential)
-			for _, opts := range configs {
-				e := engine.New(opts)
-				got, gotRounds := digests(t, g, flavor, randomized, e.Run)
-				if gotRounds != wantRounds {
-					t.Errorf("%s/%s %+v: rounds = %d, want %d", name, flavor, opts, gotRounds, wantRounds)
+		for _, flavor := range []string{"gossip", "rng"} {
+			want, wantStats := digests(t, g, flavor, engine.RunReference[int64])
+			for _, opts := range shardedConfigs {
+				got, stats := digests(t, g, flavor, engine.NewCore[int64](opts).RunStats)
+				if stats.Rounds != wantStats.Rounds {
+					t.Errorf("%s/%s %+v: rounds = %d, want %d", name, flavor, opts, stats.Rounds, wantStats.Rounds)
 				}
 				for v := range want {
 					if got[v] != want[v] {
@@ -181,84 +159,56 @@ func TestShardedMatchesSequential(t *testing.T) {
 					}
 				}
 			}
-			// The preserved goroutine-per-node baseline agrees too.
-			got, gotRounds := digests(t, g, flavor, randomized, engine.RunGoroutinePerNode)
-			if gotRounds != wantRounds {
-				t.Errorf("%s/%s goroutine-per-node: rounds = %d, want %d", name, flavor, gotRounds, wantRounds)
-			}
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("%s/%s goroutine-per-node: node %d digest mismatch", name, flavor, v)
-				}
-			}
 		}
 	}
 }
 
 // TestRunStatsMatchesSequential: the execution profile is deterministic —
-// deliveries and rounds are identical across every pool geometry and
-// equal the sequential reference's sender-side count.
+// rounds and deliveries are identical across every pool geometry and
+// equal the reference's count of every port slot of every delivery
+// phase; the inline mode and the reference report a 1/1 geometry.
 func TestRunStatsMatchesSequential(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		for _, flavor := range []string{"gossip", "silent"} {
-			newMachines := func() []engine.Machine {
-				machines := make([]engine.Machine, g.NumNodes())
-				for v := range machines {
-					if flavor == "gossip" {
-						machines[v] = &gossipMachine{target: 20}
-					} else {
-						machines[v] = &silentMachine{gossipMachine: gossipMachine{target: 20}}
-					}
-				}
-				return machines
-			}
-			seq := engine.New(engine.Options{Sequential: true})
-			want, err := seq.RunStats(g, newMachines(), 42, false, 100)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, flavor := range []string{"gossip", "rng"} {
+			_, want := digests(t, g, flavor, engine.RunReference[int64])
 			if want.Workers != 1 || want.Shards != 1 {
-				t.Errorf("%s/%s: sequential geometry = %d/%d, want 1/1", name, flavor, want.Workers, want.Shards)
+				t.Errorf("%s/%s: reference geometry = %d/%d, want 1/1", name, flavor, want.Workers, want.Shards)
 			}
-			if flavor == "gossip" && want.Deliveries == 0 && g.NumEdges() > 0 {
-				t.Errorf("%s/%s: sequential deliveries = 0", name, flavor)
+			if want.Deliveries != int64(want.Rounds-1)*int64(g.NumPorts()) {
+				t.Errorf("%s/%s: reference deliveries = %d, want every port slot of %d delivery phases",
+					name, flavor, want.Deliveries, want.Rounds-1)
 			}
-			for _, opts := range []engine.Options{{Workers: 1, Shards: 1}, {Workers: 3, Shards: 7}, {Workers: 8, Shards: 32}} {
-				got, err := engine.New(opts).RunStats(g, newMachines(), 42, false, 100)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for _, opts := range shardedConfigs {
+				_, got := digests(t, g, flavor, engine.NewCore[int64](opts).RunStats)
 				if got.Rounds != want.Rounds || got.Deliveries != want.Deliveries {
 					t.Errorf("%s/%s %+v: stats rounds=%d deliveries=%d, want rounds=%d deliveries=%d",
 						name, flavor, opts, got.Rounds, got.Deliveries, want.Rounds, want.Deliveries)
+				}
+				if opts.Sequential && (got.Workers != 1 || got.Shards != 1) {
+					t.Errorf("%s/%s: inline geometry = %d/%d, want 1/1", name, flavor, got.Workers, got.Shards)
 				}
 			}
 		}
 	}
 }
 
-type neverDone struct{ degree int }
-
-func (m *neverDone) Init(info engine.NodeInfo) { m.degree = info.Degree }
-func (m *neverDone) Round(recv []engine.Message) ([]engine.Message, bool) {
-	return make([]engine.Message, m.degree), false
-}
-
+// TestRoundLimit: the reference honors the round budget and reports the
+// partial execution.
 func TestRoundLimit(t *testing.T) {
 	g, err := graph.NewCycle(12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	machines := make([]engine.Machine, g.NumNodes())
+	machines := make([]engine.TypedMachine[int64], g.NumNodes())
 	for v := range machines {
-		machines[v] = &neverDone{}
+		machines[v] = &gossipMachine{target: 1 << 30} // never done
 	}
-	rounds, err := engine.New(engine.Options{Workers: 4}).Run(g, machines, 0, false, 9)
+	stats, err := engine.RunReference(g, machines, 0, false, 9)
 	if !errors.Is(err, engine.ErrRoundLimit) {
 		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
-	if rounds != 9 {
-		t.Fatalf("rounds = %d, want 9", rounds)
+	if stats.Rounds != 9 {
+		t.Fatalf("rounds = %d, want 9", stats.Rounds)
 	}
 }
 
@@ -267,11 +217,8 @@ func TestMachineCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.Run(g, make([]engine.Machine, 3), 0, false, 10); err == nil {
+	if _, err := engine.RunReference(g, make([]engine.TypedMachine[int64], 3), 0, false, 10); err == nil {
 		t.Fatal("expected machine/node count mismatch error")
-	}
-	if _, err := engine.RunSequential(g, make([]engine.Machine, 3), 0, false, 10); err == nil {
-		t.Fatal("expected machine/node count mismatch error (sequential)")
 	}
 }
 
@@ -284,48 +231,29 @@ func TestDefaultOptionsRoundTrip(t *testing.T) {
 	}
 }
 
-// Benchmarks: the sharded pool vs the preserved goroutine-per-node
-// baseline on the same workload. Run with -benchmem to see the
-// allocation-per-op reduction.
-
-func benchRun(b *testing.B, n int, run func(*graph.Graph, []engine.Machine, int64, bool, int) (int, error)) {
-	b.Helper()
-	g, err := graph.NewRandomRegular(n, 3, 5, false)
-	if err != nil {
-		b.Fatal(err)
+func TestDeriveRNGDeterminism(t *testing.T) {
+	a := engine.DeriveRNG(42, 7).Int63()
+	b := engine.DeriveRNG(42, 7).Int63()
+	if a != b {
+		t.Error("same seed and id should give identical streams")
 	}
-	machines := make([]engine.Machine, g.NumNodes())
-	for v := range machines {
-		machines[v] = &gossipMachine{target: 16}
+	c := engine.DeriveRNG(42, 8).Int63()
+	if a == c {
+		t.Error("different node ids should give different streams")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(g, machines, int64(i), false, 64); err != nil {
-			b.Fatal(err)
-		}
+	d := engine.DeriveRNG(43, 7).Int63()
+	if a == d {
+		t.Error("different master seeds should give different streams")
 	}
 }
 
-func BenchmarkPool2048(b *testing.B) {
-	benchRun(b, 2048, engine.New(engine.Options{}).Run)
-}
-
-func BenchmarkGoroutinePerNode2048(b *testing.B) {
-	benchRun(b, 2048, engine.RunGoroutinePerNode)
-}
-
-func BenchmarkSequential2048(b *testing.B) {
-	benchRun(b, 2048, engine.RunSequential)
-}
-
-func ExampleEngine_Run() {
+func ExampleCore_Run() {
 	g, _ := graph.NewCycle(8, 1)
-	machines := make([]engine.Machine, g.NumNodes())
+	machines := make([]engine.TypedMachine[int64], g.NumNodes())
 	for v := range machines {
 		machines[v] = &gossipMachine{target: 3}
 	}
-	rounds, _ := engine.New(engine.Options{Workers: 2, Shards: 4}).Run(g, machines, 0, false, 10)
+	rounds, _ := engine.NewCore[int64](engine.Options{Workers: 2, Shards: 4}).Run(g, machines, 0, false, 10)
 	fmt.Println(rounds)
 	// Output: 3
 }

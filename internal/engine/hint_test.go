@@ -7,6 +7,7 @@ package engine
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"locallab/internal/graph"
@@ -76,7 +77,8 @@ func TestHintStartsPoolEagerly(t *testing.T) {
 // its first Reset and the first few rounds — the warm-up window the
 // hint is supposed to empty. ReadMemStats stops the world, and the only
 // other live goroutines (the session's own workers) block without
-// allocating, so the delta is attributable to the measured calls.
+// allocating, so the delta is attributable to the measured calls once
+// quietRuntime has removed the runtime's own allocation sources.
 func sessionMallocs(s *Session[int64]) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -97,6 +99,7 @@ func TestHintRemovesWarmupAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
+	quietRuntime(t)
 	hinted := hintSession(t, Options{Workers: 2, Shards: 8, Hint: &SizeHint{Rounds: 9, Deliveries: 1152}})
 	if got := sessionMallocs(hinted); got != 0 {
 		t.Fatalf("hinted session allocated %d times during first Reset+Steps, want 0", got)
@@ -105,6 +108,26 @@ func TestHintRemovesWarmupAllocations(t *testing.T) {
 	if got := sessionMallocs(lazy); got == 0 {
 		t.Fatal("unhinted session shows no warm-up allocations; the hint has nothing to move and this test is vacuous")
 	}
+}
+
+// quietRuntime removes the two runtime allocation sources that are not
+// the session's and would otherwise land in the measured window at
+// random: a GC cycle (which allocates, and empties the runtime's central
+// cache of goroutine park records), and park records drifting between
+// per-P caches — a worker that parks on one P and wakes on another can
+// leave the first P's cache empty, so its next park allocates a fresh
+// record. With GC off and a single P, every park record released during
+// the session's own warm-up is reused by the measured window. The pool
+// still runs its two workers; they are only multiplexed onto one P.
+func quietRuntime(t *testing.T) {
+	t.Helper()
+	procs := runtime.GOMAXPROCS(1)
+	runtime.GC()
+	gcPercent := debug.SetGCPercent(-1)
+	t.Cleanup(func() {
+		debug.SetGCPercent(gcPercent)
+		runtime.GOMAXPROCS(procs)
+	})
 }
 
 // TestHintIdenticalOutputs: a hint moves allocations, never bytes — the

@@ -39,7 +39,7 @@ func (h *hashDropItc) Deliver(p int32, m int64) int64 {
 
 func digestsWith(t *testing.T, g *graph.Graph, opts engine.Options, itc engine.Interceptor[int64]) ([]uint64, engine.Stats) {
 	t.Helper()
-	machines := make([]typedGossip, g.NumNodes())
+	machines := make([]gossipMachine, g.NumNodes())
 	typed := make([]engine.TypedMachine[int64], g.NumNodes())
 	for v := range typed {
 		machines[v].target = 20

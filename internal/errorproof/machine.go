@@ -281,7 +281,7 @@ func (vf *Verifier) RunEngine(eng *engine.Engine, g *graph.Graph, in *lcl.Labeli
 	for v := range machines {
 		typed[v] = &machines[v]
 	}
-	stats, err := local.RunStatsTyped(eng, g, typed, 0, false, psiMaxRounds(g.NumNodes()))
+	stats, err := engine.NewCore[psiMsg](eng.Options()).RunStats(g, typed, 0, false, psiMaxRounds(g.NumNodes()))
 	if err != nil {
 		return nil, nil, stats, fmt.Errorf("verifier engine: %w", err)
 	}

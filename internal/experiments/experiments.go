@@ -11,11 +11,11 @@ import (
 
 	"locallab/internal/coloring"
 	"locallab/internal/core"
+	"locallab/internal/engine"
 	"locallab/internal/errorproof"
 	"locallab/internal/gadget"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
-	"locallab/internal/local"
 	"locallab/internal/measure"
 	"locallab/internal/sinkless"
 )
@@ -797,7 +797,7 @@ func countPhase1Sinks(g *graph.Graph, seed int64) int {
 		if d == 0 {
 			continue
 		}
-		rng := local.DeriveRNG(seed, g.ID(v))
+		rng := engine.DeriveRNG(seed, g.ID(v))
 		claims[v] = claim{has: true, h: g.HalfAt(v, int32(rng.Intn(d)))}
 	}
 	outDeg := make([]int, g.NumNodes())

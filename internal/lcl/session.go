@@ -31,7 +31,8 @@ type SessionSolver interface {
 }
 
 // ErrNoSession reports that a SessionSolver cannot pin a reusable
-// session under its current configuration (e.g. an injected sequential
-// oracle engine, whose boxed path has no typed session); callers fall
-// back to per-call Solve.
+// session under its current configuration; callers fall back to
+// per-call Solve. No in-tree solver reports it today — every engine
+// configuration, the inline Sequential mode included, gets a typed
+// session — but callers keep the fallback so a solver may decline.
 var ErrNoSession = errors.New("lcl: no reusable session for this configuration")

@@ -1,25 +1,21 @@
-// Package local implements the LOCAL model of distributed computing
-// (Section 2 of the paper) in its two equivalent formulations:
+// Package local implements the cost accounting of the LOCAL model of
+// distributed computing (Section 2 of the paper). The model has two
+// equivalent formulations:
 //
 //  1. Synchronous message passing: computation proceeds in rounds; in each
 //     round every node sends a message through each port, receives the
-//     messages of its neighbors, and updates its state. Run executes the
-//     rounds on the sharded worker-pool runtime of internal/engine.
+//     messages of its neighbors, and updates its state. Message-passing
+//     solvers run as typed machines on the engine (internal/engine).
 //  2. View gathering: a T-round algorithm is equivalent to every node
 //     gathering its radius-T neighborhood and mapping the view to an
-//     output. Cost and the gather helpers account rounds in this
+//     output. Cost and AdaptiveRadius account rounds in this
 //     formulation; solvers in this repository charge the maximal radius
 //     they inspect, which is their round complexity.
-//
-// Randomized algorithms draw per-node randomness from DeriveRNG, so entire
-// executions are reproducible from a single master seed.
 package local
 
 import (
 	"fmt"
-	"math/rand"
 
-	"locallab/internal/engine"
 	"locallab/internal/graph"
 )
 
@@ -73,13 +69,6 @@ func (c *Cost) Histogram() map[int]int {
 	return h
 }
 
-// DeriveRNG returns the private random source of the node with the given
-// identifier under the given master seed. SplitMix64 scrambling keeps
-// per-node streams decorrelated.
-func DeriveRNG(masterSeed, nodeIdentifier int64) *rand.Rand {
-	return engine.DeriveRNG(masterSeed, nodeIdentifier)
-}
-
 // AdaptiveRadius drives the standard doubling schedule of view-gathering
 // algorithms: it presents balls of radius 1, 2, 4, ... to decide until it
 // accepts one, and returns the final radius (the node's charged locality).
@@ -98,75 +87,4 @@ func AdaptiveRadius(g *graph.Graph, v graph.NodeID, maxRadius int, decide func(*
 			return r, fmt.Errorf("adaptive radius: node %d undecided at max radius %d", v, maxRadius)
 		}
 	}
-}
-
-// Message is an opaque payload exchanged between neighbors. Implementations
-// may send nil to stay silent on a port.
-type Message = engine.Message
-
-// NodeInfo is the initial knowledge of a node per the model: the global
-// bounds n and Δ, its own identifier and degree, and a private random
-// source (nil for deterministic machines).
-type NodeInfo = engine.NodeInfo
-
-// Machine is the per-node program of a synchronous message-passing
-// algorithm.
-type Machine = engine.Machine
-
-// TypedMachine is the unboxed per-node program: messages are concrete
-// values of M exchanged through the typed engine core's flat planes
-// instead of boxed interface{} payloads. See engine.TypedMachine for the
-// contract (no silence, engine-owned send buffers).
-type TypedMachine[M any] = engine.TypedMachine[M]
-
-// ErrRoundLimit is returned by Run when machines do not all terminate
-// within the round budget.
-var ErrRoundLimit = engine.ErrRoundLimit
-
-// Run executes machines synchronously on g until every machine reports
-// done, or maxRounds is exceeded. It returns the number of executed
-// rounds. It is a thin compatibility wrapper over the sharded worker-pool
-// runtime of internal/engine, configured by the package-level engine
-// defaults (the -workers/-shards flags of the command binaries).
-func Run(g *graph.Graph, machines []Machine, masterSeed int64, randomized bool, maxRounds int) (int, error) {
-	rounds, err := engine.Run(g, machines, masterSeed, randomized, maxRounds)
-	if err != nil && err != engine.ErrRoundLimit {
-		return rounds, fmt.Errorf("run: %w", err)
-	}
-	return rounds, err
-}
-
-// RunWith is Run on an explicit engine; a nil engine falls back to the
-// package-level defaults. Solvers expose an optional Engine field and
-// dispatch through here, so tests can inject the sequential oracle.
-func RunWith(e *engine.Engine, g *graph.Graph, machines []Machine, masterSeed int64, randomized bool, maxRounds int) (int, error) {
-	st, err := RunStatsWith(e, g, machines, masterSeed, randomized, maxRounds)
-	return st.Rounds, err
-}
-
-// RunStatsWith is RunWith plus the engine's execution profile (rounds,
-// message deliveries, pool geometry). The profile is deterministic for a
-// given run — see engine.Stats — so reports may record it.
-func RunStatsWith(e *engine.Engine, g *graph.Graph, machines []Machine, masterSeed int64, randomized bool, maxRounds int) (engine.Stats, error) {
-	if e == nil {
-		e = engine.New(engine.DefaultOptions())
-	}
-	st, err := e.RunStats(g, machines, masterSeed, randomized, maxRounds)
-	if err != nil && err != engine.ErrRoundLimit {
-		return st, fmt.Errorf("run: %w", err)
-	}
-	return st, err
-}
-
-// RunStatsTyped is the unboxed counterpart of RunStatsWith: it executes
-// typed machines on a Core configured with the given engine's options (a
-// nil engine falls back to the package-level defaults). Solvers with an
-// optional Engine field dispatch their typed path through here, mirroring
-// how their boxed oracle path dispatches through RunStatsWith.
-func RunStatsTyped[M any](e *engine.Engine, g *graph.Graph, machines []TypedMachine[M], masterSeed int64, randomized bool, maxRounds int) (engine.Stats, error) {
-	st, err := engine.NewCore[M](e.Options()).RunStats(g, machines, masterSeed, randomized, maxRounds)
-	if err != nil && err != engine.ErrRoundLimit {
-		return st, fmt.Errorf("run: %w", err)
-	}
-	return st, err
 }

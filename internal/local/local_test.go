@@ -6,86 +6,6 @@ import (
 	"locallab/internal/graph"
 )
 
-// floodMachine floods the maximum identifier; all nodes learn it in
-// eccentricity-many rounds. Used to validate the synchronous runtime.
-type floodMachine struct {
-	best   int64
-	degree int
-	target int64
-	known  bool
-}
-
-func (m *floodMachine) Init(info NodeInfo) {
-	m.best = info.ID
-	m.degree = info.Degree
-	m.known = false
-}
-
-func (m *floodMachine) Round(recv []Message) ([]Message, bool) {
-	changed := false
-	for _, r := range recv {
-		if r == nil {
-			continue
-		}
-		v := r.(int64)
-		if v > m.best {
-			m.best = v
-			changed = true
-		}
-	}
-	send := make([]Message, m.degree)
-	for p := range send {
-		send[p] = m.best
-	}
-	// Terminate when the value equals the known global target.
-	if m.best == m.target {
-		return send, true
-	}
-	_ = changed
-	return send, false
-}
-
-func TestRunFloodsMaxID(t *testing.T) {
-	g, err := graph.NewCycle(11, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var target int64
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if g.ID(v) > target {
-			target = g.ID(v)
-		}
-	}
-	machines := make([]Machine, g.NumNodes())
-	for v := range machines {
-		machines[v] = &floodMachine{target: target}
-	}
-	rounds, err := Run(g, machines, 0, false, 100)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	// On an 11-cycle the max ID needs at most 6 hops to reach everyone.
-	if rounds > 7 {
-		t.Errorf("flooding took %d rounds, want <= 7", rounds)
-	}
-	for v, m := range machines {
-		if got := m.(*floodMachine).best; got != target {
-			t.Errorf("node %d learned %d, want %d", v, got, target)
-		}
-	}
-}
-
-func TestRunRoundLimit(t *testing.T) {
-	g, _ := graph.NewCycle(5, 0)
-	machines := make([]Machine, g.NumNodes())
-	for v := range machines {
-		machines[v] = &floodMachine{target: -1} // unreachable target: never done
-	}
-	if _, err := Run(g, machines, 0, false, 3); err == nil {
-		t.Fatal("expected round-limit error")
-	}
-}
-
 func TestCost(t *testing.T) {
 	c := NewCost(4)
 	c.Charge(0, 3)
@@ -198,22 +118,6 @@ func TestAdaptiveRadiusUndecidedError(t *testing.T) {
 	}
 	if r != 6 {
 		t.Errorf("cap-accepting radius = %d, want 6", r)
-	}
-}
-
-func TestDeriveRNGDeterminism(t *testing.T) {
-	a := DeriveRNG(42, 7).Int63()
-	b := DeriveRNG(42, 7).Int63()
-	if a != b {
-		t.Error("same seed and id should give identical streams")
-	}
-	c := DeriveRNG(42, 8).Int63()
-	if a == c {
-		t.Error("different node ids should give different streams")
-	}
-	d := DeriveRNG(43, 7).Int63()
-	if a == d {
-		t.Error("different master seeds should give different streams")
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // This file implements the randomized sinkless-orientation algorithm as a
-// genuine message-passing protocol on the synchronous goroutine runtime
-// (local.Run) — no global state, every decision from received messages:
+// genuine message-passing protocol on the synchronous engine — no global
+// state, every decision from received messages:
 //
 //	round 1     every node claims a uniformly random incident edge and
 //	            announces (identifier, claim) on every port.
@@ -39,21 +39,26 @@ type smMsg struct {
 	Grant   bool // repair: sender releases this edge to the receiver
 }
 
-// smachine is the per-node state machine.
-type smachine struct {
-	info    local.NodeInfo
+// smTyped is the per-node state machine. It exchanges concrete smMsg
+// values through the engine's typed plane: Round writes into the
+// engine-owned send buffer, and the only mutable per-port scratch
+// (granted) is allocated once in Init, so the steady-state round loop
+// allocates nothing.
+type smTyped struct {
+	info    engine.NodeInfo
 	rng     *rand.Rand
 	round   int
 	claimP  int // claimed port
 	nbrID   []int64
 	out     []bool // out[p]: edge at port p currently leaves this node
+	granted []bool // granted[p]: this round released the edge at port p
 	reqPort int    // port requested this iteration (-1 none)
 	sinkFor int    // consecutive iterations spent as a sink
 }
 
-var _ local.Machine = (*smachine)(nil)
+var _ engine.TypedMachine[smMsg] = (*smTyped)(nil)
 
-func (m *smachine) Init(info local.NodeInfo) {
+func (m *smTyped) Init(info engine.NodeInfo) {
 	m.info = info
 	m.rng = info.RNG
 	if m.rng == nil {
@@ -64,6 +69,7 @@ func (m *smachine) Init(info local.NodeInfo) {
 	m.round = 0
 	m.nbrID = make([]int64, info.Degree)
 	m.out = make([]bool, info.Degree)
+	m.granted = make([]bool, info.Degree)
 	m.reqPort = -1
 	m.sinkFor = 0
 	if info.Degree > 0 {
@@ -71,7 +77,7 @@ func (m *smachine) Init(info local.NodeInfo) {
 	}
 }
 
-func (m *smachine) outDeg() int {
+func (m *smTyped) outDeg() int {
 	d := 0
 	for _, o := range m.out {
 		if o {
@@ -81,34 +87,30 @@ func (m *smachine) outDeg() int {
 	return d
 }
 
-func (m *smachine) isSink() bool { return m.info.Degree > 0 && m.outDeg() == 0 }
+func (m *smTyped) isSink() bool { return m.info.Degree > 0 && m.outDeg() == 0 }
 
-func (m *smachine) Round(recv []local.Message) ([]local.Message, bool) {
-	defer func() { m.round++ }()
+func (m *smTyped) Round(recv, send []smMsg) bool {
+	round := m.round
+	m.round++
 	deg := m.info.Degree
-	send := make([]local.Message, deg)
-	switch m.round {
-	case 0:
-		// Announce identifier and claim.
+	if round == 0 {
+		// Announce identifier and claim. recv holds zero values here —
+		// no messages have arrived yet.
 		for p := 0; p < deg; p++ {
 			send[p] = smMsg{ID: m.info.ID, Claim: p == m.claimP}
 		}
-		return send, deg == 0
-	case 1:
+		return deg == 0
+	}
+	if round == 1 {
 		// Record all neighbor identifiers first: self-loop port pairing
 		// needs the complete table.
 		for p := 0; p < deg; p++ {
-			msg, ok := recv[p].(smMsg)
-			if !ok {
-				return nil, false
-			}
-			m.nbrID[p] = msg.ID
+			m.nbrID[p] = recv[p].ID
 		}
 		// Resolve every edge locally and symmetrically.
 		for p := 0; p < deg; p++ {
-			msg := recv[p].(smMsg)
 			mine := p == m.claimP
-			theirs := msg.Claim
+			theirs := recv[p].Claim
 			switch {
 			case mine && !theirs:
 				m.out[p] = true
@@ -116,29 +118,32 @@ func (m *smachine) Round(recv []local.Message) ([]local.Message, bool) {
 				m.out[p] = false
 			default:
 				// Both or neither: larger identifier takes the edge.
-				// Self-loops (msg.ID == own ID) stay "out" on the lower
-				// port by convention, giving the node an out-edge.
-				if msg.ID == m.info.ID {
+				// Self-loops (ID == own ID) stay "out" on the lower port
+				// by convention, giving the node an out-edge.
+				if recv[p].ID == m.info.ID {
 					m.out[p] = p < m.oppositeLoopPort(p)
 				} else {
-					m.out[p] = m.info.ID > msg.ID
+					m.out[p] = m.info.ID > recv[p].ID
 				}
 			}
 		}
-		fallthrough
-	default:
 	}
 
 	// Repair iterations alternate: even rounds send status+requests, odd
-	// rounds send grants. Grants received flip edges toward us.
+	// rounds send grants. Grants received flip edges toward us. The send
+	// plane is reused across rounds, so grants are staged in granted and
+	// folded into the status messages below.
 	for p := 0; p < deg; p++ {
-		if msg, ok := recv[p].(smMsg); ok && m.round > 1 {
-			if msg.Grant {
+		m.granted[p] = false
+	}
+	if round > 1 {
+		for p := 0; p < deg; p++ {
+			if recv[p].Grant {
 				m.out[p] = true
 			}
-			if msg.Request && m.shouldGrant(p, msg) {
+			if recv[p].Request && m.shouldGrant(p) {
 				m.out[p] = false
-				send[p] = smMsg{ID: m.info.ID, OutDeg: m.outDeg(), IsSink: m.isSink(), Grant: true}
+				m.granted[p] = true
 			}
 		}
 	}
@@ -149,32 +154,31 @@ func (m *smachine) Round(recv []local.Message) ([]local.Message, bool) {
 		m.reqPort = -1
 	}
 	// Status everywhere; sinks additionally place one request.
-	if m.isSink() && m.round%2 == 0 {
+	if m.isSink() && round%2 == 0 {
 		m.reqPort = m.pickTarget(recv)
 	}
 	anySinkNearby := m.isSink()
 	for p := 0; p < deg; p++ {
-		if msg, ok := recv[p].(smMsg); ok && msg.IsSink {
+		if recv[p].IsSink {
 			anySinkNearby = true
 		}
 		out := smMsg{ID: m.info.ID, OutDeg: m.outDeg(), IsSink: m.isSink()}
 		if m.isSink() && p == m.reqPort {
 			out.Request = true
 		}
-		if prior, ok := send[p].(smMsg); ok && prior.Grant {
+		if m.granted[p] {
 			out.Grant = true
 		}
 		send[p] = out
 	}
-	done := m.round >= 3 && !anySinkNearby
-	return send, done
+	return round >= 3 && !anySinkNearby
 }
 
 // oppositeLoopPort finds the other port of a self-loop given one side.
 // With the message-only interface the machine cannot see edge identities,
 // so it pairs loop ports in ascending order, which matches both sides'
 // computation.
-func (m *smachine) oppositeLoopPort(p int) int {
+func (m *smTyped) oppositeLoopPort(p int) int {
 	var loops []int
 	for q := 0; q < m.info.Degree; q++ {
 		if m.nbrID[q] == m.info.ID {
@@ -195,7 +199,7 @@ func (m *smachine) oppositeLoopPort(p int) int {
 // shouldGrant decides whether to release the edge at port p to a
 // requesting sink: always with surplus, with probability 1/2 at
 // out-degree 1 (the walking step), never when already a sink.
-func (m *smachine) shouldGrant(p int, req smMsg) bool {
+func (m *smTyped) shouldGrant(p int) bool {
 	if !m.out[p] {
 		return false // nothing to grant: the edge already points here
 	}
@@ -212,16 +216,12 @@ func (m *smachine) shouldGrant(p int, req smMsg) bool {
 // pickTarget chooses which neighbor a sink petitions: the one advertising
 // the largest out-degree (staleness tolerated), ties by identifier, with
 // a random tiebreak every few attempts to escape symmetric stand-offs.
-func (m *smachine) pickTarget(recv []local.Message) int {
+func (m *smTyped) pickTarget(recv []smMsg) int {
 	best, bestDeg := -1, -1
 	var bestID int64
 	for p := 0; p < m.info.Degree; p++ {
-		msg, ok := recv[p].(smMsg)
-		if !ok {
-			continue
-		}
-		if msg.OutDeg > bestDeg || (msg.OutDeg == bestDeg && msg.ID < bestID) {
-			best, bestDeg, bestID = p, msg.OutDeg, msg.ID
+		if recv[p].OutDeg > bestDeg || (recv[p].OutDeg == bestDeg && recv[p].ID < bestID) {
+			best, bestDeg, bestID = p, recv[p].OutDeg, recv[p].ID
 		}
 	}
 	if m.sinkFor > 4 || best < 0 {
@@ -230,23 +230,15 @@ func (m *smachine) pickTarget(recv []local.Message) int {
 	return best
 }
 
-// MessageSolver runs the protocol above on the synchronous runtime. It
+// MessageSolver runs the protocol above on the engine's typed core. It
 // demonstrates that the randomized solver is implementable with pure
 // message passing; RandSolver remains the reference implementation with
 // wave-exact cost accounting.
-//
-// The sharded path runs the unboxed smTyped machine on the typed engine
-// core (typed.go) — no per-message boxing, no per-round send-slice
-// allocation. An injected Sequential engine instead runs the boxed
-// smachine through the sequential reference oracle, so the existing
-// differential tests pit the typed sharded execution against the boxed
-// oracle.
 type MessageSolver struct {
 	// MaxRounds caps the runtime.
 	MaxRounds int
 	// Engine overrides the execution engine; nil uses the package-level
-	// engine defaults (sharded worker pool). Tests inject a sequential
-	// engine here to differential-test the sharded path.
+	// engine defaults (sharded worker pool).
 	Engine *engine.Engine
 	// LastStats is the execution profile of the most recent successful
 	// Solve. Callers that need it (the scenario runner records message
@@ -267,33 +259,7 @@ func (s *MessageSolver) Randomized() bool { return true }
 
 // Solve implements lcl.Solver.
 func (s *MessageSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.Labeling, *local.Cost, error) {
-	if s.Engine.Options().Sequential {
-		// Boxed oracle path: the original interface{}-message machine on
-		// the sequential reference implementation.
-		if err := checkSolvable(g); err != nil {
-			return nil, nil, err
-		}
-		n := g.NumNodes()
-		machines := make([]local.Machine, n)
-		states := make([]*smachine, n)
-		for v := range machines {
-			sm := &smachine{}
-			machines[v] = sm
-			states[v] = sm
-		}
-		stats, err := local.RunStatsWith(s.Engine, g, machines, seed, true, s.MaxRounds)
-		if err != nil {
-			return nil, nil, fmt.Errorf("message solver: %w", err)
-		}
-		outs := make([][]bool, n)
-		for v := range states {
-			outs[v] = states[v].out
-		}
-		s.LastStats = stats
-		return msgFinish(g, outs, stats.Rounds)
-	}
-	// Production path: unboxed machines on the typed engine core, run as
-	// a one-shot session.
+	// A one-shot session on the typed engine core.
 	sess, err := s.NewSolverSession(g)
 	if err != nil {
 		return nil, nil, err
@@ -302,9 +268,7 @@ func (s *MessageSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lc
 	return sess.Solve(in, seed)
 }
 
-// msgFinish assembles the half-edge orientation labeling and cost; it is
-// the post-processing shared by the boxed oracle path and the typed
-// session path.
+// msgFinish assembles the half-edge orientation labeling and cost.
 func msgFinish(g *graph.Graph, outs [][]bool, rounds int) (*lcl.Labeling, *local.Cost, error) {
 	out := lcl.NewLabeling(g)
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
@@ -339,15 +303,10 @@ type MsgSession struct {
 
 var _ lcl.SolverSession = (*MsgSession)(nil)
 
-// NewSolverSession implements lcl.SessionSolver. A sequential engine has
-// no typed session — callers get lcl.ErrNoSession and fall back to
-// Solve's boxed oracle path.
+// NewSolverSession implements lcl.SessionSolver.
 func (s *MessageSolver) NewSolverSession(g *graph.Graph) (lcl.SolverSession, error) {
 	if err := checkSolvable(g); err != nil {
 		return nil, err
-	}
-	if s.Engine.Options().Sequential {
-		return nil, fmt.Errorf("message solver: sequential engine: %w", lcl.ErrNoSession)
 	}
 	n := g.NumNodes()
 	ms := &MsgSession{s: s, g: g, machines: make([]smTyped, n)}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"locallab/internal/engine"
 	"locallab/internal/graph"
 	"locallab/internal/lcl"
 	"locallab/internal/local"
@@ -49,7 +50,7 @@ func (s *RandSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.L
 		if d == 0 {
 			continue
 		}
-		rng := local.DeriveRNG(seed, g.ID(v))
+		rng := engine.DeriveRNG(seed, g.ID(v))
 		claims[v] = g.HalfAt(v, int32(rng.Intn(d)))
 		cost.Charge(v, 1)
 	}

@@ -3,7 +3,11 @@ package solver
 import (
 	"testing"
 
+	"locallab/internal/coloring"
 	"locallab/internal/engine"
+	"locallab/internal/graph"
+	"locallab/internal/lcl"
+	"locallab/internal/sinkless"
 )
 
 // TestOracleEntriesMatchNativeChecksums: the sequential-oracle registry
@@ -146,7 +150,10 @@ func TestPaddedEntryReportsEngineStats(t *testing.T) {
 // TestPreparedRunRepeatable: every registry entry's Prepared must be
 // reusable — repeated Run calls on one Prepared return the same outcome
 // as a fresh prepare-and-run. This is the contract the serving layer's
-// session pool stands on.
+// session pool stands on. The session-capable flat entries (Cole–Vishkin,
+// sinkless-msg) are also prepared on the inline Sequential engine, whose
+// session must reproduce the sharded checksum and rounds; the padded
+// entries' inline mode is pinned by the tower grids.
 func TestPreparedRunRepeatable(t *testing.T) {
 	for _, e := range Registry() {
 		req := Request{Family: e.DefaultFamily, N: 16, Seed: 5}
@@ -156,36 +163,86 @@ func TestPreparedRunRepeatable(t *testing.T) {
 		if e.CycleOnly || e.DefaultFamily == "cycle" {
 			req.N = 33
 		}
+		engines := []*engine.Engine{nil}
 		if e.EngineAware {
-			req.Engine = engine.New(engine.Options{Workers: 2, Shards: 8})
+			engines[0] = engine.New(engine.Options{Workers: 2, Shards: 8})
+			if !e.Padded {
+				engines = append(engines, engine.New(engine.Options{Sequential: true}))
+			}
 		}
-		p, err := e.Prepare(req)
-		if err != nil {
-			t.Fatalf("%s: prepare: %v", e.Name, err)
-		}
-		first, err := p.Run()
-		if err != nil {
-			p.Close()
-			t.Fatalf("%s: first run: %v", e.Name, err)
-		}
-		again, err := p.Run()
-		if err != nil {
-			p.Close()
-			t.Fatalf("%s: second run: %v", e.Name, err)
-		}
-		p.Close()
-		if again.Checksum != first.Checksum || again.Rounds != first.Rounds || again.Stats != first.Stats ||
-			again.RelayWords != first.RelayWords {
-			t.Fatalf("%s: repeated run differs: %+v vs %+v", e.Name, again, first)
-		}
-		fresh, err := e.Run(req)
-		if err != nil {
-			t.Fatalf("%s: fresh run: %v", e.Name, err)
-		}
-		if fresh.Checksum != first.Checksum {
-			t.Fatalf("%s: fresh checksum %016x differs from prepared %016x", e.Name, fresh.Checksum, first.Checksum)
+		var sharded *Outcome
+		for _, eng := range engines {
+			req.Engine = eng
+			first := preparedRepeatable(t, e, req)
+			if sharded == nil {
+				sharded = first
+			} else if first.Checksum != sharded.Checksum || first.Rounds != sharded.Rounds {
+				t.Fatalf("%s %+v: checksum %016x rounds %d, want sharded %016x rounds %d",
+					e.Name, eng.Options(), first.Checksum, first.Rounds, sharded.Checksum, sharded.Rounds)
+			}
 		}
 	}
+}
+
+// TestSequentialEngineHasSession: the session-capable solvers pin an
+// inline typed session on a Sequential engine instead of reporting
+// lcl.ErrNoSession, so lclPrepare reuses it across runs.
+func TestSequentialEngineHasSession(t *testing.T) {
+	seq := engine.New(engine.Options{Sequential: true})
+	cyc, err := graph.NewCycle(33, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := graph.NewRandomRegular(64, 3, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		s lcl.SessionSolver
+		g *graph.Graph
+	}{
+		{&coloring.CVSolver{MaxRounds: 1 << 20, Engine: seq}, cyc},
+		{&sinkless.MessageSolver{MaxRounds: 4096, Engine: seq}, reg},
+	} {
+		sess, err := c.s.NewSolverSession(c.g)
+		if err != nil {
+			t.Fatalf("%T: sequential engine session: %v", c.s, err)
+		}
+		sess.Close()
+	}
+}
+
+// preparedRepeatable prepares req, runs it twice, checks both runs and a
+// fresh run agree, and returns the first outcome.
+func preparedRepeatable(t *testing.T, e Entry, req Request) *Outcome {
+	t.Helper()
+	p, err := e.Prepare(req)
+	if err != nil {
+		t.Fatalf("%s: prepare: %v", e.Name, err)
+	}
+	first, err := p.Run()
+	if err != nil {
+		p.Close()
+		t.Fatalf("%s: first run: %v", e.Name, err)
+	}
+	again, err := p.Run()
+	if err != nil {
+		p.Close()
+		t.Fatalf("%s: second run: %v", e.Name, err)
+	}
+	p.Close()
+	if again.Checksum != first.Checksum || again.Rounds != first.Rounds || again.Stats != first.Stats ||
+		again.RelayWords != first.RelayWords {
+		t.Fatalf("%s: repeated run differs: %+v vs %+v", e.Name, again, first)
+	}
+	fresh, err := e.Run(req)
+	if err != nil {
+		t.Fatalf("%s: fresh run: %v", e.Name, err)
+	}
+	if fresh.Checksum != first.Checksum {
+		t.Fatalf("%s: fresh checksum %016x differs from prepared %016x", e.Name, fresh.Checksum, first.Checksum)
+	}
+	return first
 }
 
 // TestEngineUnawareEntriesIgnoreEngine: non-engine entries run fine with

@@ -129,7 +129,7 @@ func NewSinklessRandSolver() Solver { return sinkless.NewRandSolver() }
 func ThreeColoringCycles() Problem { return coloring.Three{} }
 
 // NewColeVishkinSolver returns the Cole–Vishkin cycle 3-coloring solver
-// running on the goroutine-per-node synchronous runtime.
+// running on the sharded engine.
 func NewColeVishkinSolver() Solver { return coloring.NewCVSolver() }
 
 // NewGadget builds a (log, Δ)-family gadget with uniform sub-gadget
