@@ -243,3 +243,40 @@ func BenchmarkNativeMachineSteadyState(b *testing.B) {
 		sess.Step()
 	}
 }
+
+// TestInputDecodeAllocs pins the composite-input decode to a constant
+// number of allocations, the result labelings and the scope, on
+// level-2 padded instances at two base sizes: splitting a label costs
+// nothing per label.
+func TestInputDecodeAllocs(t *testing.T) {
+	decoders := []struct {
+		name   string
+		decode func(*Instance)
+	}{
+		{"decodeInputs", func(inst *Instance) { _, _, _, _ = decodeInputs(inst.G, inst.In) }},
+		{"GadInputs", func(inst *Instance) { _, _ = GadInputs(inst.G, inst.In) }},
+		{"PiInputs", func(inst *Instance) { _, _ = PiInputs(inst.G, inst.In) }},
+		{"GadScope", func(inst *Instance) { _ = GadScope(inst.G, inst.In) }},
+	}
+	var insts []*Instance
+	for _, base := range []int{8, 24} {
+		inst, err := BuildInstance(2, InstanceOptions{BaseNodes: base, Seed: 5, Balanced: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts = append(insts, inst)
+	}
+	for _, d := range decoders {
+		t.Run(d.name, func(t *testing.T) {
+			var counts []float64
+			for _, inst := range insts {
+				counts = append(counts, testing.AllocsPerRun(8, func() { d.decode(inst) }))
+			}
+			if counts[0] != counts[1] {
+				t.Fatalf("%s allocates %v times at N=%d but %v at N=%d, want a per-call constant",
+					d.name, counts[0], insts[0].G.NumNodes(), counts[1], insts[1].G.NumNodes())
+			}
+			t.Logf("%s: %v allocs per call", d.name, counts[0])
+		})
+	}
+}

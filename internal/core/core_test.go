@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -43,6 +45,17 @@ func TestComposeSplitRoundTrip(t *testing.T) {
 	if _, err := Split("not json", 2); err == nil {
 		t.Error("garbage accepted by Split")
 	}
+	// Non-canonical input keeps encoding/json's semantics: whitespace is
+	// accepted, a wrong part count is rejected with the count.
+	parts, err = Split(`[ "a", "b" ]`, 2)
+	if err != nil || parts[0] != "a" || parts[1] != "b" {
+		t.Errorf("whitespace label split to %q, %v", parts, err)
+	}
+	for _, l := range []lcl.Label{`["a"]`, `["a","b","c"]`} {
+		if _, err := Split(l, 2); err == nil || !strings.Contains(err.Error(), "want 2") {
+			t.Errorf("Split(%q, 2) error %v, want a part-count error", l, err)
+		}
+	}
 }
 
 func TestSigmaListRoundTrip(t *testing.T) {
@@ -66,6 +79,10 @@ func TestSigmaListRoundTrip(t *testing.T) {
 	sl.S = []int{3, 1}
 	if _, err := DecodeSigmaList(mustEncode(t, sl), 3); err == nil {
 		t.Error("descending S accepted")
+	}
+	sl.S = []int{1, 1}
+	if _, err := DecodeSigmaList(mustEncode(t, sl), 3); err == nil {
+		t.Error("duplicate port in S accepted")
 	}
 	sl.S = []int{0}
 	if _, err := DecodeSigmaList(mustEncode(t, sl), 3); err == nil {
@@ -320,6 +337,51 @@ func TestCheckerRejectsPaddedCheating(t *testing.T) {
 		sl.IV = "tampered"
 		c.Node[someNode] = mustCompose(t, mustEncode(t, sl), parts[1], parts[2])
 	})
+}
+
+// TestPiPrimeConcurrentChecks verifies a valid and a cheating output on
+// one shared PiPrime from several goroutines at once, through both the
+// generic checker (which reuses the latest decoded pair) and
+// VerifyPadded (which decodes per call): every verdict must be the one
+// for its own labeling, never a neighbour's.
+func TestPiPrimeConcurrentChecks(t *testing.T) {
+	base := buildBase(t, 8, 17)
+	pi, err := BuildPadded(base, lcl.NewLabeling(base), PadOptions{Delta: 3, GadgetHeight: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, _, err := NewPaddedSolver(sinkless.NewDetSolver(), 3).Solve(pi.G, pi.In, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := good.Clone()
+	parts, err := Split(bad.Node[pi.PortsOf[0][0]], outNodeParts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Node[pi.PortsOf[0][0]] = mustCompose(t, parts[0], PortErr1, parts[2])
+	prime := NewPiPrime(sinkless.Problem{}, 3)
+	verifiers := []func(out *lcl.Labeling) error{
+		func(out *lcl.Labeling) error { return lcl.Verify(pi.G, prime, pi.In, out) },
+		func(out *lcl.Labeling) error { return VerifyPadded(pi.G, prime, pi.In, out) },
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			verify := verifiers[w%2]
+			for i := 0; i < 8; i++ {
+				if err := verify(good); err != nil {
+					t.Errorf("worker %d: valid output rejected: %v", w, err)
+				}
+				if err := verify(bad); err == nil {
+					t.Errorf("worker %d: cheating output accepted", w)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestLevel2Hierarchy(t *testing.T) {

@@ -174,15 +174,10 @@ func (s *EnginePaddedSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64)
 // SolveDetailed runs the engine-backed pipeline and returns diagnostics,
 // including the measured engine profile in Detail.Engine.
 func (s *EnginePaddedSolver) SolveDetailed(g *graph.Graph, in *lcl.Labeling, seed int64) (*Detail, error) {
-	gadIn, err := GadInputs(g, in)
+	gadIn, piIn, scope, err := decodeInputs(g, in)
 	if err != nil {
 		return nil, fmt.Errorf("engine padded solve: %w", err)
 	}
-	piIn, err := PiInputs(g, in)
-	if err != nil {
-		return nil, fmt.Errorf("engine padded solve: %w", err)
-	}
-	scope := GadScope(g, in)
 	n := g.NumNodes()
 	cost := local.NewCost(n)
 

@@ -35,6 +35,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"locallab/internal/lcl"
 )
@@ -58,12 +59,65 @@ const (
 // port half-edges must carry the empty label ε instead (constraint 1).
 const LabPsiEdge lcl.Label = "psi-ok"
 
-// Compose packs component labels into one label; Split unpacks. JSON
-// arrays keep nesting safe: composite labels of level i embed composite
-// labels of level i-1 without escaping issues. Marshal failures (only
-// reachable through invalid UTF-8 smuggled into labels) are returned,
-// not panicked, so malformed instance inputs surface as messages.
+// Composite labels. Compose packs component labels into one label and
+// Split unpacks it. A composite label is a JSON array of strings, so
+// composite labels of level i embed those of level i-1 without escaping
+// issues.
+//
+// The canonical form is what Compose emits for parts made of printable
+// ASCII other than <, > and &: ["p0","p1",…] with no whitespace, and
+// with `"` and `\` inside a part written as \" and \\. These are exactly
+// json.Marshal's bytes for such a []string, and nested tower labels are
+// always canonical. Compose writes this form directly. Split decodes
+// this shape directly whenever every part holds only non-control ASCII
+// and no escapes but \" and \\; it returns each part that has no
+// escapes as a substring of the label, with no copy.
+//
+// Everything else goes through encoding/json, chosen from the label
+// bytes alone: Compose marshals parts holding any other byte, and Split
+// unmarshals labels with whitespace, any other escape, control bytes,
+// non-ASCII, null or the wrong number of parts. So the labels accepted,
+// the parts returned and the error text are exactly encoding/json's.
+
+// Compose packs component labels into one composite label. Marshal
+// failures (only reachable through invalid UTF-8 smuggled into labels)
+// are returned, not panicked, so malformed instance inputs surface as
+// messages.
 func Compose(parts ...lcl.Label) (lcl.Label, error) {
+	size := 1 + len(parts) // brackets and commas
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			switch c := p[i]; {
+			case c < 0x20 || c > 0x7e || c == '<' || c == '>' || c == '&':
+				return composeJSON(parts)
+			case c == '"' || c == '\\':
+				size++
+			}
+		}
+		size += len(p) + 2
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteByte('[')
+	for k, p := range parts {
+		if k > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('"')
+		for i := 0; i < len(p); i++ {
+			if c := p[i]; c == '"' || c == '\\' {
+				b.WriteByte('\\')
+			}
+			b.WriteByte(p[i])
+		}
+		b.WriteByte('"')
+	}
+	b.WriteByte(']')
+	return lcl.Label(b.String()), nil
+}
+
+// composeJSON is Compose for parts outside the canonical alphabet.
+func composeJSON(parts []lcl.Label) (lcl.Label, error) {
 	ss := make([]string, len(parts))
 	for i, p := range parts {
 		ss[i] = string(p)
@@ -77,6 +131,87 @@ func Compose(parts ...lcl.Label) (lcl.Label, error) {
 
 // Split unpacks a composite label into exactly n parts.
 func Split(l lcl.Label, n int) ([]lcl.Label, error) {
+	if n >= 0 {
+		out := make([]lcl.Label, n)
+		if splitCanonical(l, out) {
+			return out, nil
+		}
+	}
+	return splitJSON(l, n)
+}
+
+// splitInto is Split into a caller-owned slice of exactly the wanted
+// part count, so callers decoding into a fixed-size array allocate
+// nothing for a canonical label.
+func splitInto(l lcl.Label, dst []lcl.Label) error {
+	if splitCanonical(l, dst) {
+		return nil
+	}
+	parts, err := splitJSON(l, len(dst))
+	if err != nil {
+		return err
+	}
+	copy(dst, parts)
+	return nil
+}
+
+// splitCanonical decodes a canonical composite label of exactly len(dst)
+// parts into dst and reports whether it could; on false, dst holds
+// garbage and the caller falls back to splitJSON.
+func splitCanonical(l lcl.Label, dst []lcl.Label) bool {
+	s := string(l)
+	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
+		return false
+	}
+	i := 1
+	for k := range dst {
+		if k > 0 {
+			if s[i] != ',' {
+				return false
+			}
+			i++
+		}
+		if s[i] != '"' {
+			return false
+		}
+		i++
+		start, escapes := i, 0
+		for ; s[i] != '"'; i++ {
+			switch c := s[i]; {
+			case c == '\\':
+				if i+2 >= len(s) || (s[i+1] != '"' && s[i+1] != '\\') {
+					return false
+				}
+				escapes++
+				i++
+			case c < 0x20 || c >= 0x80 || i == len(s)-1:
+				return false
+			}
+		}
+		dst[k] = lcl.Label(unescape(s[start:i], escapes))
+		i++
+	}
+	return i == len(s)-1
+}
+
+// unescape drops the backslash of each of a canonical part's escapes.
+func unescape(raw string, escapes int) string {
+	if escapes == 0 {
+		return raw
+	}
+	b := make([]byte, 0, len(raw)-escapes)
+	for i := 0; i < len(raw); i++ {
+		if raw[i] == '\\' {
+			i++
+		}
+		b = append(b, raw[i])
+	}
+	return string(b)
+}
+
+// splitJSON is Split through encoding/json: the reference semantics for
+// every label, and the decoder for the non-canonical ones.
+func splitJSON(l lcl.Label, n int) ([]lcl.Label, error) {
 	var ss []string
 	if err := json.Unmarshal([]byte(l), &ss); err != nil {
 		return nil, fmt.Errorf("split label %q: %w", l, err)
@@ -97,11 +232,9 @@ func Split(l lcl.Label, n int) ([]lcl.Label, error) {
 //	                                              inside the gadget label)
 //	edge:  [ Π-input, class mark ]               (class ∈ {GadEdge, PortEdge})
 //	half:  [ Π-input, gadget half label ]
-const (
-	nodeParts = 2
-	edgeParts = 2
-	halfParts = 2
-)
+//
+// Part 0 is the Π layer, part 1 the gadget layer.
+const inParts = 2
 
 // Output label layout of Π′:
 //
@@ -153,16 +286,14 @@ func DecodeSigmaList(l lcl.Label, delta int) (*SigmaList, error) {
 		return nil, fmt.Errorf("decode sigma list: slot widths %d/%d/%d/%d, want Δ=%d",
 			len(sl.IE), len(sl.IB), len(sl.OE), len(sl.OB), delta)
 	}
-	seen := make(map[int]bool, len(sl.S))
 	prev := 0
 	for _, p := range sl.S {
 		if p < 1 || p > delta {
 			return nil, fmt.Errorf("decode sigma list: port %d out of 1..Δ", p)
 		}
-		if seen[p] || p <= prev {
+		if p <= prev {
 			return nil, fmt.Errorf("decode sigma list: S not strictly ascending")
 		}
-		seen[p] = true
 		prev = p
 	}
 	return &sl, nil

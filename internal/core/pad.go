@@ -269,75 +269,93 @@ func BuildPadded(base *graph.Graph, baseIn *lcl.Labeling, opts PadOptions) (*Pad
 // EdgeClass decodes an edge's class mark; it errors on non-composite
 // labels.
 func EdgeClass(in *lcl.Labeling, e graph.EdgeID) (lcl.Label, error) {
-	parts, err := Split(in.Edge[e], edgeParts)
-	if err != nil {
+	var parts [inParts]lcl.Label
+	if err := splitInto(in.Edge[e], parts[:]); err != nil {
 		return "", err
 	}
 	return parts[1], nil
 }
 
 // GadScope returns the Scope predicate selecting gadget edges of the
-// instance labeling (used by the Ψ machinery and Π′ constraints).
+// instance labeling (used by the Ψ machinery and Π′ constraints). An
+// undecodable edge label is out of scope.
 func GadScope(g *graph.Graph, in *lcl.Labeling) func(graph.EdgeID) bool {
 	classes := make([]bool, g.NumEdges())
-	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
-		cls, err := EdgeClass(in, e)
+	for e := range classes {
+		cls, err := EdgeClass(in, graph.EdgeID(e))
 		classes[e] = err == nil && cls == MarkGadEdge
 	}
+	return scopeOf(classes)
+}
+
+func scopeOf(classes []bool) func(graph.EdgeID) bool {
 	return func(e graph.EdgeID) bool { return classes[e] }
 }
 
 // GadInputs projects the composite input labeling onto the gadget layer
 // (node labels, half labels) so the Section-4 checkers can run on it.
 func GadInputs(g *graph.Graph, in *lcl.Labeling) (*lcl.Labeling, error) {
-	proj := lcl.NewLabeling(g)
-	for v := range in.Node {
-		parts, err := Split(in.Node[v], nodeParts)
-		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", v, err)
-		}
-		proj.Node[v] = parts[1]
+	gad := lcl.NewLabeling(g)
+	if err := projectInputs(in, [inParts]*lcl.Labeling{1: gad}); err != nil {
+		return nil, err
 	}
-	for e := range in.Edge {
-		parts, err := Split(in.Edge[e], edgeParts)
-		if err != nil {
-			return nil, fmt.Errorf("edge %d: %w", e, err)
-		}
-		proj.Edge[e] = parts[1]
-	}
-	for i := range in.Half {
-		parts, err := Split(in.Half[i], halfParts)
-		if err != nil {
-			return nil, fmt.Errorf("half %d: %w", i, err)
-		}
-		proj.Half[i] = parts[1]
-	}
-	return proj, nil
+	return gad, nil
 }
 
 // PiInputs projects the composite input labeling onto the Π layer.
 func PiInputs(g *graph.Graph, in *lcl.Labeling) (*lcl.Labeling, error) {
-	proj := lcl.NewLabeling(g)
-	for v := range in.Node {
-		parts, err := Split(in.Node[v], nodeParts)
-		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", v, err)
-		}
-		proj.Node[v] = parts[0]
+	pi := lcl.NewLabeling(g)
+	if err := projectInputs(in, [inParts]*lcl.Labeling{0: pi}); err != nil {
+		return nil, err
 	}
-	for e := range in.Edge {
-		parts, err := Split(in.Edge[e], edgeParts)
-		if err != nil {
-			return nil, fmt.Errorf("edge %d: %w", e, err)
-		}
-		proj.Edge[e] = parts[0]
+	return pi, nil
+}
+
+// decodeInputs is GadInputs, PiInputs and GadScope in one pass: each
+// composite input label is split once. On success the scope equals
+// GadScope's; the error is GadInputs's.
+func decodeInputs(g *graph.Graph, in *lcl.Labeling) (gad, pi *lcl.Labeling, scope func(graph.EdgeID) bool, err error) {
+	gad, pi = lcl.NewLabeling(g), lcl.NewLabeling(g)
+	if err := projectInputs(in, [inParts]*lcl.Labeling{pi, gad}); err != nil {
+		return nil, nil, nil, err
 	}
-	for i := range in.Half {
-		parts, err := Split(in.Half[i], halfParts)
-		if err != nil {
-			return nil, fmt.Errorf("half %d: %w", i, err)
-		}
-		proj.Half[i] = parts[0]
+	classes := make([]bool, len(gad.Edge))
+	for e, cls := range gad.Edge {
+		classes[e] = cls == MarkGadEdge
 	}
-	return proj, nil
+	return gad, pi, scopeOf(classes), nil
+}
+
+// projectInputs splits every composite input label of in once, nodes
+// first, then edges, then halves, and writes part k into dst[k] when
+// dst[k] is non-nil. It stops at the first undecodable label.
+func projectInputs(in *lcl.Labeling, dst [inParts]*lcl.Labeling) error {
+	layers := [...]struct {
+		kind string
+		of   func(*lcl.Labeling) []lcl.Label
+	}{
+		{"node", func(l *lcl.Labeling) []lcl.Label { return l.Node }},
+		{"edge", func(l *lcl.Labeling) []lcl.Label { return l.Edge }},
+		{"half", func(l *lcl.Labeling) []lcl.Label { return l.Half }},
+	}
+	var parts [inParts]lcl.Label
+	for _, layer := range layers {
+		var out [inParts][]lcl.Label
+		for k, d := range dst {
+			if d != nil {
+				out[k] = layer.of(d)
+			}
+		}
+		for i, l := range layer.of(in) {
+			if err := splitInto(l, parts[:]); err != nil {
+				return fmt.Errorf("%s %d: %w", layer.kind, i, err)
+			}
+			for k := range out {
+				if out[k] != nil {
+					out[k][i] = parts[k]
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -35,9 +35,12 @@ type PiPrime struct {
 	Inner lcl.Problem
 	Delta int
 
-	mu       sync.Mutex
-	inCache  map[*lcl.Labeling]*projIn
-	outCache map[*lcl.Labeling]*projOut
+	// latest is the decode of the labeling pair CheckNode or CheckEdge
+	// saw last, keyed by pointer: lcl.Verify passes one pair to every
+	// check.
+	mu        sync.Mutex
+	latestKey [2]*lcl.Labeling
+	latest    *pairCheck
 }
 
 var _ lcl.Problem = (*PiPrime)(nil)
@@ -58,7 +61,7 @@ func StarCheckable(prob lcl.Problem) bool {
 	return ok && sc.StarCheckable()
 }
 
-// projIn caches the layer projections of a composite input labeling.
+// projIn is the decoded composite input labeling.
 type projIn struct {
 	gad   *lcl.Labeling
 	pi    *lcl.Labeling
@@ -66,78 +69,101 @@ type projIn struct {
 	err   error
 }
 
-// projOut caches the decoded composite output labeling.
+// projOut is the decoded composite output labeling.
 type projOut struct {
-	sigma   []lcl.Label // Σlist part per node
+	sigma   []lcl.Label    // Σlist part per node
+	sl      []*sigmaDecode // decoded Σlist per node
 	portErr []lcl.Label
 	psi     *lcl.Labeling // Ψ node outputs (projected)
 	errs    []error       // per-node decode errors
 }
 
-func (p *PiPrime) inputs(g *graph.Graph, in *lcl.Labeling) *projIn {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.inCache == nil {
-		p.inCache = make(map[*lcl.Labeling]*projIn)
-	}
-	if pr, ok := p.inCache[in]; ok {
-		return pr
-	}
-	if len(p.inCache) > 8 {
-		p.inCache = make(map[*lcl.Labeling]*projIn)
-	}
-	pr := &projIn{}
-	pr.gad, pr.err = GadInputs(g, in)
-	if pr.err == nil {
-		pr.pi, pr.err = PiInputs(g, in)
-	}
-	if pr.err == nil {
-		pr.scope = GadScope(g, in)
-	}
-	p.inCache[in] = pr
-	return pr
+// sigmaDecode is the decoded Σlist of one distinct Σlist label, shared by
+// every node carrying it (constraint 6 makes it one per gadget).
+type sigmaDecode struct {
+	sl  *SigmaList
+	err error
 }
 
-func (p *PiPrime) outputs(g *graph.Graph, out *lcl.Labeling) *projOut {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.outCache == nil {
-		p.outCache = make(map[*lcl.Labeling]*projOut)
+// pairCheck checks Π′ on one labeling pair, decoding the pair's
+// composite labels once, on first use: after lcl.Verify has checked the
+// pair's shape.
+type pairCheck struct {
+	*PiPrime
+	pin  *projIn
+	pout *projOut
+}
+
+func (p *pairCheck) decoded(g *graph.Graph, in, out *lcl.Labeling) (*projIn, *projOut) {
+	if p.pin == nil {
+		pin := &projIn{}
+		pin.gad, pin.pi, pin.scope, pin.err = decodeInputs(g, in)
+		p.pin, p.pout = pin, p.decodeOutputs(g, out)
 	}
-	if pr, ok := p.outCache[out]; ok {
-		return pr
-	}
-	if len(p.outCache) > 8 {
-		p.outCache = make(map[*lcl.Labeling]*projOut)
-	}
+	return p.pin, p.pout
+}
+
+func (p *PiPrime) decodeOutputs(g *graph.Graph, out *lcl.Labeling) *projOut {
 	n := g.NumNodes()
 	pr := &projOut{
 		sigma:   make([]lcl.Label, n),
+		sl:      make([]*sigmaDecode, n),
 		portErr: make([]lcl.Label, n),
 		psi:     lcl.NewLabeling(g),
 		errs:    make([]error, n),
 	}
+	decoded := make(map[lcl.Label]*sigmaDecode)
+	var parts [outNodeParts]lcl.Label
 	for v := 0; v < n; v++ {
-		parts, err := Split(out.Node[v], outNodeParts)
-		if err != nil {
+		if err := splitInto(out.Node[v], parts[:]); err != nil {
 			pr.errs[v] = err
 			continue
 		}
 		pr.sigma[v] = parts[0]
 		pr.portErr[v] = parts[1]
 		pr.psi.Node[v] = parts[2]
+		d, ok := decoded[parts[0]]
+		if !ok {
+			d = &sigmaDecode{}
+			d.sl, d.err = DecodeSigmaList(parts[0], p.Delta)
+			decoded[parts[0]] = d
+		}
+		pr.sl[v] = d
 	}
-	p.outCache[out] = pr
 	return pr
+}
+
+// pair returns the decoded pair for lcl.Verify's checks, reusing the
+// latest one. It decodes under the lock, so concurrent checks only read
+// the result.
+func (p *PiPrime) pair(g *graph.Graph, in, out *lcl.Labeling) *pairCheck {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	key := [2]*lcl.Labeling{in, out}
+	if p.latest == nil || p.latestKey != key {
+		pc := &pairCheck{PiPrime: p}
+		pc.decoded(g, in, out)
+		p.latestKey, p.latest = key, pc
+	}
+	return p.latest
 }
 
 // CheckNode implements lcl.Problem.
 func (p *PiPrime) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeID) error {
-	pin := p.inputs(g, in)
+	return p.pair(g, in, out).CheckNode(g, in, out, v)
+}
+
+// CheckEdge implements lcl.Problem.
+func (p *PiPrime) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.EdgeID) error {
+	return p.pair(g, in, out).CheckEdge(g, in, out, e)
+}
+
+// CheckNode implements lcl.Problem.
+func (p *pairCheck) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeID) error {
+	pin, pout := p.decoded(g, in, out)
 	if pin.err != nil {
 		return lcl.Violation(p.Name(), "node", int(v), "composite input: %v", pin.err)
 	}
-	pout := p.outputs(g, out)
 	if pout.errs[v] != nil {
 		return lcl.Violation(p.Name(), "node", int(v), "composite output: %v", pout.errs[v])
 	}
@@ -187,10 +213,10 @@ func (p *PiPrime) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeI
 	if errorproof.IsErrorLabel(pout.psi.Node[v]) {
 		return nil
 	}
-	sl, err := DecodeSigmaList(pout.sigma[v], p.Delta)
-	if err != nil {
+	if err := pout.sl[v].err; err != nil {
 		return lcl.Violation(p.Name(), "node", int(v), "Σlist: %v", err)
 	}
+	sl := pout.sl[v].sl
 	// Bullet 1: S membership mirrors NoPortErr at ports.
 	if gd.Port > 0 {
 		if sl.Contains(gd.Port) != (pe == NoPortErr) {
@@ -229,12 +255,11 @@ func (p *PiPrime) CheckNode(g *graph.Graph, in, out *lcl.Labeling, v graph.NodeI
 }
 
 // CheckEdge implements lcl.Problem.
-func (p *PiPrime) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.EdgeID) error {
-	pin := p.inputs(g, in)
+func (p *pairCheck) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.EdgeID) error {
+	pin, pout := p.decoded(g, in, out)
 	if pin.err != nil {
 		return lcl.Violation(p.Name(), "edge", int(e), "composite input: %v", pin.err)
 	}
-	pout := p.outputs(g, out)
 	ed := g.Edge(e)
 	u, v := ed.U.Node, ed.V.Node
 	if pout.errs[u] != nil || pout.errs[v] != nil {
@@ -299,11 +324,10 @@ func (p *PiPrime) CheckEdge(g *graph.Graph, in, out *lcl.Labeling, e graph.EdgeI
 	if pout.portErr[u] != NoPortErr || pout.portErr[v] != NoPortErr {
 		return nil
 	}
-	slU, errSU := DecodeSigmaList(pout.sigma[u], p.Delta)
-	slV, errSV := DecodeSigmaList(pout.sigma[v], p.Delta)
-	if errSU != nil || errSV != nil {
+	if pout.sl[u].err != nil || pout.sl[v].err != nil {
 		return lcl.Violation(p.Name(), "edge", int(e), "Σlist undecodable at a valid port edge")
 	}
+	slU, slV := pout.sl[u].sl, pout.sl[v].sl
 	i, j := gu.Port, gv.Port
 	if slU.IE[i-1] != slV.IE[j-1] {
 		return lcl.Violation(p.Name(), "edge", int(e), "virtual edge inputs differ: %q vs %q", slU.IE[i-1], slV.IE[j-1])

@@ -71,15 +71,10 @@ func (s *PaddedSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl
 
 // SolveDetailed runs the algorithm and returns diagnostics.
 func (s *PaddedSolver) SolveDetailed(g *graph.Graph, in *lcl.Labeling, seed int64) (*Detail, error) {
-	gadIn, err := GadInputs(g, in)
+	gadIn, piIn, scope, err := decodeInputs(g, in)
 	if err != nil {
 		return nil, fmt.Errorf("padded solve: %w", err)
 	}
-	piIn, err := PiInputs(g, in)
-	if err != nil {
-		return nil, fmt.Errorf("padded solve: %w", err)
-	}
-	scope := GadScope(g, in)
 	n := g.NumNodes()
 	cost := local.NewCost(n)
 

@@ -15,7 +15,10 @@ import (
 // the Σlist labels and verifies the inner problem there, recursing
 // through padded levels.
 func VerifyPadded(g *graph.Graph, p *PiPrime, in, out *lcl.Labeling) error {
-	if err := lcl.Verify(g, p, in, out); err != nil {
+	// The pair's decode belongs to this call, so verifications running
+	// concurrently on one PiPrime never evict each other's.
+	pc := &pairCheck{PiPrime: p}
+	if err := lcl.Verify(g, pc, in, out); err != nil {
 		return err
 	}
 	if StarCheckable(p.Inner) {
@@ -23,7 +26,7 @@ func VerifyPadded(g *graph.Graph, p *PiPrime, in, out *lcl.Labeling) error {
 		// reconstruction below would only repeat them.
 		return nil
 	}
-	vg, _, virtOut, err := ReconstructVirtual(g, p, in, out)
+	vg, _, virtOut, err := pc.reconstructVirtual(g, in, out)
 	if err != nil {
 		return fmt.Errorf("verify padded reconstruction: %w", err)
 	}
@@ -39,27 +42,21 @@ func VerifyPadded(g *graph.Graph, p *PiPrime, in, out *lcl.Labeling) error {
 // ReconstructVirtual rebuilds the virtual graph H together with the inner
 // input and output labelings from a Π′ instance and its output labeling.
 func ReconstructVirtual(g *graph.Graph, p *PiPrime, in, out *lcl.Labeling) (*VirtualGraph, *lcl.Labeling, *lcl.Labeling, error) {
-	gadIn, err := GadInputs(g, in)
-	if err != nil {
-		return nil, nil, nil, err
+	return (&pairCheck{PiPrime: p}).reconstructVirtual(g, in, out)
+}
+
+func (p *pairCheck) reconstructVirtual(g *graph.Graph, in, out *lcl.Labeling) (*VirtualGraph, *lcl.Labeling, *lcl.Labeling, error) {
+	pin, pout := p.decoded(g, in, out)
+	if pin.err != nil {
+		return nil, nil, nil, pin.err
 	}
-	piIn, err := PiInputs(g, in)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	scope := GadScope(g, in)
-	n := g.NumNodes()
-	psi := make([]lcl.Label, n)
-	portErr := make([]lcl.Label, n)
-	sigma := make([]lcl.Label, n)
-	for v := 0; v < n; v++ {
-		parts, err := Split(out.Node[v], outNodeParts)
+	for v, err := range pout.errs {
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("node %d output: %w", v, err)
 		}
-		sigma[v], portErr[v], psi[v] = parts[0], parts[1], parts[2]
 	}
-	vg, err := BuildVirtual(g, gadIn, piIn, scope, psi, portErr, p.Delta)
+	scope := pin.scope
+	vg, err := BuildVirtual(g, pin.gad, pin.pi, scope, pout.psi.Node, pout.portErr, p.Delta)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -69,14 +66,14 @@ func ReconstructVirtual(g *graph.Graph, p *PiPrime, in, out *lcl.Labeling) (*Vir
 	virtOut := lcl.NewLabeling(vg.H)
 	for vi, ci := range vg.CompOfVirt {
 		rep := vg.Comps[ci][0]
-		sl, err := DecodeSigmaList(sigma[rep], p.Delta)
-		if err != nil {
+		if err := pout.sl[rep].err; err != nil {
 			return nil, nil, nil, fmt.Errorf("component %d Σlist: %w", ci, err)
 		}
+		sl := pout.sl[rep].sl
 		virtOut.Node[vi] = lcl.Label(sl.OV)
 		for i := 1; i <= p.Delta; i++ {
 			pn := vg.PortNode[ci][i-1]
-			if pn < 0 || portErr[pn] != NoPortErr {
+			if pn < 0 || pout.portErr[pn] != NoPortErr {
 				continue
 			}
 			for _, h := range g.Halves(pn) {
