@@ -146,6 +146,12 @@ type Session[M any] struct {
 	phase      int
 	rounds     int
 
+	// srcs and rngs are the nodes' private random streams: allocated on
+	// the first randomized Reset, reseeded in place on every later one,
+	// so a randomized re-run seeds n streams without allocating.
+	srcs []NodeSource
+	rngs []rand.Rand
+
 	// itc, when non-nil, observes and may rewrite every delivered
 	// message (see Interceptor). The nil check happens once per shard,
 	// outside the gather loop, so the nil case costs nothing.
@@ -287,14 +293,16 @@ func (s *Session[M]) runShard(i int) {
 
 func (s *Session[M]) initShard(i int) {
 	for v := s.shardLo[i]; v < s.shardLo[i+1]; v++ {
+		id := s.g.ID(graph.NodeID(v))
 		var rng *rand.Rand
 		if s.randomized {
-			rng = DeriveRNG(s.seed, s.g.ID(graph.NodeID(v)))
+			rng = &s.rngs[v]
+			rng.Seed(NodeSeed(s.seed, id))
 		}
 		s.machines[v].Init(NodeInfo{
 			N:      s.n,
 			Delta:  s.delta,
-			ID:     s.g.ID(graph.NodeID(v)),
+			ID:     id,
 			Degree: s.g.Degree(graph.NodeID(v)),
 			RNG:    rng,
 		})
@@ -354,6 +362,13 @@ func (s *Session[M]) Reset(masterSeed int64, randomized bool) {
 	clear(s.send)
 	for i := range s.shardDelivered {
 		s.shardDelivered[i].v = 0
+	}
+	if randomized && s.rngs == nil {
+		s.srcs = make([]NodeSource, s.n)
+		s.rngs = make([]rand.Rand, s.n)
+		for v := range s.rngs {
+			s.rngs[v] = *rand.New(&s.srcs[v])
+		}
 	}
 	s.dispatch(phaseInit)
 }

@@ -122,6 +122,46 @@ func TestSessionReuseAndStepping(t *testing.T) {
 	}
 }
 
+// TestRandomizedSessionReseeds: a Session reseeds its per-node RNG slab
+// on every randomized Reset, so reruns under alternating seeds — with
+// every node drawing past its source's register spill — each reproduce
+// RunReference's stdlib-seeded execution for that seed.
+func TestRandomizedSessionReseeds(t *testing.T) {
+	g, err := graph.NewRandomRegular(60, 3, 11, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newMachines := func() ([]rngMachine, []engine.TypedMachine[int64]) {
+		machines := make([]rngMachine, g.NumNodes())
+		typed := make([]engine.TypedMachine[int64], g.NumNodes())
+		for v := range typed {
+			machines[v] = rngMachine{gossipMachine: gossipMachine{target: 120}, mixed: true}
+			typed[v] = &machines[v]
+		}
+		return machines, typed
+	}
+	machines, typed := newMachines()
+	sess, err := engine.NewCore[int64](engine.Options{Workers: 2, Shards: 5}).NewSession(g, typed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, seed := range []int64{3, 4, 3, -9} {
+		if _, err := sess.Run(seed, true, 200); err != nil {
+			t.Fatal(err)
+		}
+		ref, refTyped := newMachines()
+		if _, err := engine.RunReference(g, refTyped, seed, true, 200); err != nil {
+			t.Fatal(err)
+		}
+		for v := range ref {
+			if machines[v].digest != ref[v].digest {
+				t.Fatalf("seed %d: node %d digest %x, want %x", seed, v, machines[v].digest, ref[v].digest)
+			}
+		}
+	}
+}
+
 // TestTypedCoreMachineCountMismatch: the Core validates the machine set
 // against the graph like RunReference does.
 func TestTypedCoreMachineCountMismatch(t *testing.T) {

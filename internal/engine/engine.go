@@ -33,9 +33,11 @@
 //   - Byte-identity: outputs, Stats.Rounds, and Stats.Deliveries are
 //     identical for every Workers/Shards setting, for the pooled and
 //     inline modes, and for RunReference.
-//   - Seed-pinned randomness: per-node RNGs derive from
-//     (master seed, node identifier) via DeriveRNG, never from worker or
-//     shard state.
+//   - Seed-pinned randomness: the node's RNG draws the stream of
+//     rand.NewSource(NodeSeed(master seed, node identifier)), never
+//     anything derived from worker or shard state. Core serves it from a
+//     per-session slab of NodeSources reseeded on every Reset;
+//     RunReference uses the stdlib source itself.
 //   - 0 allocs/op steady state: after Session setup, Step allocates
 //     nothing (and well-behaved typed machines keep the machine side at
 //     zero too).
@@ -65,15 +67,23 @@ type NodeInfo struct {
 // the round budget.
 var ErrRoundLimit = errors.New("round limit exceeded")
 
-// DeriveRNG returns the private random source of the node with the given
-// identifier under the given master seed. SplitMix64 scrambling keeps
-// per-node streams decorrelated.
-func DeriveRNG(masterSeed, nodeIdentifier int64) *rand.Rand {
+// NodeSeed returns the seed of the private random stream of the node
+// with the given identifier under the given master seed. SplitMix64
+// scrambling keeps per-node streams decorrelated.
+func NodeSeed(masterSeed, nodeIdentifier int64) int64 {
 	z := uint64(masterSeed) + 0x9e3779b97f4a7c15*uint64(nodeIdentifier+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
+	return int64(z)
+}
+
+// DeriveRNG returns the private random source of the node with the given
+// identifier under the given master seed: the stream of
+// rand.New(rand.NewSource(NodeSeed(masterSeed, nodeIdentifier))), drawn
+// from a NodeSource so that seeding costs O(1).
+func DeriveRNG(masterSeed, nodeIdentifier int64) *rand.Rand {
+	return rand.New(NewNodeSource(NodeSeed(masterSeed, nodeIdentifier)))
 }
 
 // Options configures an Engine.
@@ -172,8 +182,9 @@ type Stats struct {
 // direct, goroutine-free transcription of the model semantics with a
 // per-node inbox and outbox, delivering each message through the graph's
 // half-edge accessors (HalfAt, OppositeHalf) rather than the CSR route
-// table the Core gathers through. It shares no execution code with Core,
-// which makes it the oracle the Core's every geometry is
+// table the Core gathers through, and seeds each node's RNG with the
+// stdlib source instead of Core's NodeSource slab. It shares no execution
+// or RNG code with Core, which makes it the oracle the Core's every geometry is
 // differential-tested against. Like the Core it counts every delivered
 // port slot and skips delivery after the final round.
 func RunReference[M any](g *graph.Graph, machines []TypedMachine[M], masterSeed int64, randomized bool, maxRounds int) (Stats, error) {
@@ -190,7 +201,7 @@ func RunReference[M any](g *graph.Graph, machines []TypedMachine[M], masterSeed 
 		deg := g.Degree(graph.NodeID(v))
 		var rng *rand.Rand
 		if randomized {
-			rng = DeriveRNG(masterSeed, id)
+			rng = rand.New(rand.NewSource(NodeSeed(masterSeed, id)))
 		}
 		machines[v].Init(NodeInfo{N: n, Delta: delta, ID: id, Degree: deg, RNG: rng})
 		inbox[v] = make([]M, deg)

@@ -44,10 +44,13 @@ func (m *gossipMachine) Round(recv, send []int64) bool {
 
 // rngMachine exercises the randomized initialization path: every round it
 // sends values drawn from the node's private RNG and digests what it
-// receives.
+// receives. Core seeds that RNG from its NodeSource slab and
+// RunReference from the stdlib source, so equal digests pin the two
+// streams to each other.
 type rngMachine struct {
 	gossipMachine
-	info engine.NodeInfo
+	info  engine.NodeInfo
+	mixed bool // draw through Intn/Float64/Uint64 instead of Int63 only
 }
 
 func (m *rngMachine) Init(info engine.NodeInfo) {
@@ -63,7 +66,16 @@ func (m *rngMachine) Round(recv, send []int64) bool {
 	}
 	m.rounds++
 	for p := range send {
-		send[p] = m.info.RNG.Int63()
+		switch {
+		case !m.mixed:
+			send[p] = m.info.RNG.Int63()
+		case (m.rounds+p)%3 == 0:
+			send[p] = int64(m.info.RNG.Intn(1 + p + m.rounds))
+		case (m.rounds+p)%3 == 1:
+			send[p] = int64(m.info.RNG.Float64() * (1 << 53))
+		default:
+			send[p] = int64(m.info.RNG.Uint64() >> 1)
+		}
 	}
 	return m.rounds >= m.target
 }
@@ -112,11 +124,16 @@ func digests(t testing.TB, g *graph.Graph, flavor string, run runFunc) ([]uint64
 		case "rng":
 			m := &rngMachine{gossipMachine: gossipMachine{target: 20}}
 			machines[v], gossip[v] = m, &m.gossipMachine
+		case "rng-spill":
+			// 150 rounds draw at least 300 values per node, past the
+			// 273 NodeSource serves before materializing its register.
+			m := &rngMachine{gossipMachine: gossipMachine{target: 150}, mixed: true}
+			machines[v], gossip[v] = m, &m.gossipMachine
 		default:
 			t.Fatalf("unknown flavor %q", flavor)
 		}
 	}
-	stats, err := run(g, machines, 42, flavor == "rng", 100)
+	stats, err := run(g, machines, 42, flavor != "gossip", 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +157,17 @@ var shardedConfigs = []engine.Options{
 	{},                          // defaults
 }
 
+// testFlavors are the machine flavors of the differential grids; the
+// rng flavors run randomized.
+var testFlavors = []string{"gossip", "rng", "rng-spill"}
+
 // TestShardedMatchesSequential differential-tests the Core — pooled
 // across a worker/shard grid and in the inline mode — against the
 // independent RunReference over graph shapes and machine flavors.
 // Digests and rounds must be byte-identical.
 func TestShardedMatchesSequential(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		for _, flavor := range []string{"gossip", "rng"} {
+		for _, flavor := range testFlavors {
 			want, wantStats := digests(t, g, flavor, engine.RunReference[int64])
 			for _, opts := range shardedConfigs {
 				got, stats := digests(t, g, flavor, engine.NewCore[int64](opts).RunStats)
@@ -169,7 +190,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 // phase; the inline mode and the reference report a 1/1 geometry.
 func TestRunStatsMatchesSequential(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		for _, flavor := range []string{"gossip", "rng"} {
+		for _, flavor := range testFlavors {
 			_, want := digests(t, g, flavor, engine.RunReference[int64])
 			if want.Workers != 1 || want.Shards != 1 {
 				t.Errorf("%s/%s: reference geometry = %d/%d, want 1/1", name, flavor, want.Workers, want.Shards)

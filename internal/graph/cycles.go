@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -17,8 +18,60 @@ const Unreachable = int(^uint(0) >> 2)
 // length 2. The search is truncated at maxLen when maxLen >= 0.
 //
 // The computation runs one truncated BFS in G-v per port of v, which is
-// exact on multigraphs.
+// exact on multigraphs. ShortestCycles runs it for every node on one
+// shared scratch; this single-node form allocates its own.
 func (g *Graph) ShortestCycleThrough(v NodeID, maxLen int) (int, bool) {
+	return newCycleSearch(g).shortestThrough(v, maxLen)
+}
+
+// cycleSearch is the reusable scratch of the cycle searches on one graph:
+// epoch-stamped per-node marks, so starting a BFS is one increment
+// instead of a clear or a fresh map, plus the BFS queue and the port
+// table of the node being searched. One search serves any number of
+// nodes in turn; it is not safe for concurrent use. The epochs cannot
+// wrap: a search runs fewer BFSs than the graph has half-edges, and
+// EdgeID is an int32.
+type cycleSearch struct {
+	g     *Graph
+	marks []nodeMark
+	bfs   uint32 // current BFS epoch: marks[x].dist is valid iff marks[x].bfs == bfs
+	node  uint32 // current searched-node epoch: marks[x].lastPort is valid iff marks[x].node == node
+	queue []NodeID
+	nbrs  []NodeID // nbrs[p]: the neighbor at port p of the searched node
+}
+
+// nodeMark is one node's stamped search state: its BFS distance, and the
+// highest port of the searched node that reaches it.
+type nodeMark struct {
+	bfs      uint32
+	dist     int32
+	node     uint32
+	lastPort int32
+}
+
+func newCycleSearch(g *Graph) *cycleSearch {
+	n := g.NumNodes()
+	return &cycleSearch{
+		g:     g,
+		marks: make([]nodeMark, n),
+		queue: make([]NodeID, 0, n),
+		nbrs:  make([]NodeID, 0, g.MaxDegree()),
+	}
+}
+
+// dist returns x's distance in the current BFS, if it was reached.
+func (c *cycleSearch) dist(x NodeID) (int, bool) {
+	m := c.marks[x]
+	return int(m.dist), m.bfs == c.bfs
+}
+
+// shortestThrough is ShortestCycleThrough on the search's scratch. For
+// each port p it runs a BFS in G-v from the neighbor x_p; a cycle through
+// v with first edge e_p and last edge e_q (q > p) has length
+// dist_{G-v}(x_p, x_q)+2. BFS reaches nodes in nondecreasing distance, so
+// the first x_q it reaches is the closest and the BFS stops there.
+func (c *cycleSearch) shortestThrough(v NodeID, maxLen int) (int, bool) {
+	g := c.g
 	best := Unreachable
 	if maxLen >= 0 && maxLen < best {
 		best = maxLen + 1
@@ -29,37 +82,25 @@ func (g *Graph) ShortestCycleThrough(v NodeID, maxLen int) (int, bool) {
 			return 1, true
 		}
 	}
-	// For each port p, BFS in G-v from the neighbor x_p, then inspect
-	// distances to the other ports' neighbors. A cycle through v using
-	// first edge e_p and last edge e_q has length dist_{G-v}(x_p,x_q)+2.
-	type portInfo struct {
-		port int32
-		nbr  NodeID
-	}
-	ports := make([]portInfo, 0, len(g.Halves(v)))
+	c.node++
+	c.nbrs = c.nbrs[:0]
 	for p, h := range g.Halves(v) {
-		ports = append(ports, portInfo{port: int32(p), nbr: g.edges[h.Edge].Other(h.Side).Node})
-	}
-	for i := 0; i < len(ports); i++ {
-		// Parallel edge shortcut: same neighbor on two ports.
-		for j := i + 1; j < len(ports); j++ {
-			if ports[i].nbr == ports[j].nbr {
-				if 2 < best {
-					best = 2
-				}
+		x := g.edges[h.Edge].Other(h.Side).Node
+		// Parallel edge: the same neighbor on two ports.
+		if m := &c.marks[x]; m.node == c.node {
+			if 2 < best {
+				return 2, true
 			}
+		} else {
+			m.node = c.node
 		}
+		c.marks[x].lastPort = int32(p)
+		c.nbrs = append(c.nbrs, x)
 	}
-	if best == 2 {
-		return 2, true
-	}
-	for i := 0; i < len(ports)-1; i++ {
+	for p := 0; p < len(c.nbrs)-1; p++ {
 		limit := best - 2 // only distances strictly better than best matter
-		dist := g.bfsAvoiding(ports[i].nbr, v, limit)
-		for j := i + 1; j < len(ports); j++ {
-			if d, ok := dist[ports[j].nbr]; ok && d+2 < best {
-				best = d + 2
-			}
+		if d, ok := c.bfsFrom(c.nbrs[p], v, limit, int32(p)); ok && d+2 < best {
+			best = d + 2
 		}
 	}
 	if best >= Unreachable || (maxLen >= 0 && best > maxLen) {
@@ -68,34 +109,40 @@ func (g *Graph) ShortestCycleThrough(v NodeID, maxLen int) (int, bool) {
 	return best, true
 }
 
-// bfsAvoiding runs a BFS from src that never visits the avoided node,
-// truncated at the given radius (no truncation if radius < 0).
-func (g *Graph) bfsAvoiding(src, avoid NodeID, radius int) map[NodeID]int {
-	dist := make(map[NodeID]int, 16)
-	if src == avoid {
-		return dist
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		dx := dist[x]
-		if radius >= 0 && dx >= radius {
+// bfsFrom runs a BFS from src in G-avoid (avoid < 0 removes nothing),
+// truncated at the given radius (none if radius < 0), leaving the
+// distances in the marks of a new epoch. It stops early, and returns
+// that node's distance, when it reaches the neighbor of the searched node
+// at some port after p.
+func (c *cycleSearch) bfsFrom(src, avoid NodeID, radius int, p int32) (int, bool) {
+	g := c.g
+	c.bfs++
+	c.marks[src].bfs, c.marks[src].dist = c.bfs, 0
+	q := append(c.queue[:0], src)
+	d, found := 0, false
+search:
+	for head := 0; head < len(q); head++ {
+		x := q[head]
+		dx := c.marks[x].dist
+		if radius >= 0 && int(dx) >= radius {
 			continue
 		}
 		for _, h := range g.Halves(x) {
 			y := g.edges[h.Edge].Other(h.Side).Node
-			if y == avoid {
+			m := &c.marks[y]
+			if y == avoid || m.bfs == c.bfs {
 				continue
 			}
-			if _, ok := dist[y]; !ok {
-				dist[y] = dx + 1
-				queue = append(queue, y)
+			m.bfs, m.dist = c.bfs, dx+1
+			if m.node == c.node && m.lastPort > p {
+				d, found = int(dx+1), true
+				break search
 			}
+			q = append(q, y)
 		}
 	}
-	return dist
+	c.queue = q[:0]
+	return d, found
 }
 
 // CyclePotential computes, for every node v, the potential
@@ -117,15 +164,16 @@ func (g *Graph) CyclePotential(maxLen int) []int {
 // ShortestCycles returns sc(v) — the length of the shortest cycle through
 // v, truncated at maxLen (pass -1 for exact) — for every node, with
 // Unreachable for nodes on no cycle.
+//
+// Every node's search runs on one shared scratch, so the call makes a
+// constant number of allocations whatever the size of the graph.
 func (g *Graph) ShortestCycles(maxLen int) []int {
 	n := g.NumNodes()
 	sc := make([]int, n)
+	c := newCycleSearch(g)
 	for v := 0; v < n; v++ {
-		length, ok := g.ShortestCycleThrough(NodeID(v), maxLen)
-		if !ok {
-			length = Unreachable
-		}
-		sc[v] = length
+		// Unreachable comes back with ok=false.
+		sc[v], _ = c.shortestThrough(NodeID(v), maxLen)
 	}
 	return sc
 }
@@ -327,10 +375,13 @@ func (g *Graph) enumerateCyclesThrough(v NodeID, length, capCycles int) ([]Cycle
 		}
 		return out, nil
 	}
-	dist := g.BFSFrom(v, length)
+	// Distances from v; no port is a target, so the BFS runs to length.
+	c := newCycleSearch(g)
+	c.bfsFrom(v, -1, length, math.MaxInt32)
+	onPath := make([]bool, g.NumNodes())
 	var out []Cycle
 	walk := make([]Half, 0, length)
-	onPath := map[NodeID]bool{v: true}
+	onPath[v] = true
 
 	var dfs func(cur NodeID, steps int) error
 	dfs = func(cur NodeID, steps int) error {
@@ -354,7 +405,7 @@ func (g *Graph) enumerateCyclesThrough(v NodeID, length, capCycles int) ([]Cycle
 			if next == v || onPath[next] {
 				continue
 			}
-			d, ok := dist[next]
+			d, ok := c.dist(next)
 			if !ok || steps+1+d > length {
 				continue // cannot return in time
 			}
@@ -376,7 +427,7 @@ func (g *Graph) enumerateCyclesThrough(v NodeID, length, capCycles int) ([]Cycle
 		if next == v {
 			continue // loops handled above, and a loop cannot start a longer simple cycle
 		}
-		if d, ok := dist[next]; !ok || 1+d > length {
+		if d, ok := c.dist(next); !ok || 1+d > length {
 			continue
 		}
 		walk = append(walk, h)

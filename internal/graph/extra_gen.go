@@ -36,16 +36,14 @@ func NewHypercube(dim int, seed int64) (*Graph, error) {
 // pairs girth 2, consistent with the model's multigraph conventions.
 func (g *Graph) Girth() (int, bool) {
 	best := Unreachable
+	c := newCycleSearch(g)
 	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
-		limit := best
-		if limit < Unreachable {
-			// A shorter cycle through v would have been found from one
-			// of its nodes anyway; still bound the search.
+		// Once a cycle is known, only shorter ones through v matter.
+		limit := -1
+		if best < Unreachable {
 			limit = best
-		} else {
-			limit = -1
 		}
-		if sc, ok := g.ShortestCycleThrough(v, limit); ok && sc < best {
+		if sc, ok := c.shortestThrough(v, limit); ok && sc < best {
 			best = sc
 		}
 	}

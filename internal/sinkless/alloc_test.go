@@ -70,6 +70,50 @@ func TestSinklessTypedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSinklessSessionRerunAllocs pins the whole randomized re-run of the
+// sinkless-msg protocol: once a session has run, Session.Run under a
+// fresh seed — reseeding every node's RNG, re-initializing every
+// machine, and running the protocol to termination — allocates nothing,
+// in both execution modes.
+func TestSinklessSessionRerunAllocs(t *testing.T) {
+	g, err := graph.NewRandomRegular(512, 3, 5, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		opts engine.Options
+	}{
+		{"inline", engine.Options{Sequential: true}},
+		{"pooled", engine.Options{Workers: 4, Shards: 16}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			machines := make([]smTyped, g.NumNodes())
+			typed := make([]engine.TypedMachine[smMsg], g.NumNodes())
+			for v := range typed {
+				typed[v] = &machines[v]
+			}
+			sess, err := engine.NewCore[smMsg](mode.opts).NewSession(g, typed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			seed := int64(1)
+			if _, err := sess.Run(seed, true, 4096); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				seed++
+				if _, err := sess.Run(seed, true, 4096); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Fatalf("warmed randomized re-run allocates %v times, want 0", allocs)
+			}
+		})
+	}
+}
+
 // BenchmarkSinklessTypedSteadyState2048 measures one typed protocol
 // round end-to-end (engine + machine) at n=2048; it must report
 // 0 allocs/op.

@@ -80,9 +80,9 @@ func (s *DetSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.La
 // outgoing. Descent nodes point toward their minimal strictly-smaller-t
 // neighbor; local minima orient the canonical shortest cycle through
 // themselves.
-func (s *DetSolver) computeClaims(g *graph.Graph, sc, t []int) (map[graph.NodeID]graph.Half, error) {
+func (s *DetSolver) computeClaims(g *graph.Graph, sc, t []int) ([]graph.Half, error) {
 	n := g.NumNodes()
-	claims := make(map[graph.NodeID]graph.Half, n)
+	claims := newClaims(n)
 	for vi := 0; vi < n; vi++ {
 		v := graph.NodeID(vi)
 		if g.Degree(v) == 0 {
@@ -143,10 +143,23 @@ func exitHalfAt(g *graph.Graph, cyc graph.Cycle, v graph.NodeID) (graph.Half, er
 	return graph.Half{}, fmt.Errorf("internal: node %d not on its canonical cycle", v)
 }
 
+// noClaim marks a node without an out-claim in a node-indexed claim
+// table; it equals no half-edge of any graph.
+var noClaim = graph.Half{Edge: -1}
+
+// newClaims returns a claim table for n nodes with no claims.
+func newClaims(n int) []graph.Half {
+	claims := make([]graph.Half, n)
+	for v := range claims {
+		claims[v] = noClaim
+	}
+	return claims
+}
+
 // resolveClaims turns per-node out-claims into a full orientation. Claims
 // are conflict-free by construction; a detected conflict is an internal
 // error. Unclaimed edges orient from the larger-identifier endpoint.
-func resolveClaims(g *graph.Graph, claims map[graph.NodeID]graph.Half) (*lcl.Labeling, error) {
+func resolveClaims(g *graph.Graph, claims []graph.Half) (*lcl.Labeling, error) {
 	out := lcl.NewLabeling(g)
 	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
 		ed := g.Edge(e)

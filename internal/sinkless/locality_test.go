@@ -49,12 +49,12 @@ func TestDetClaimsAreBallLocal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("node %d: ball-local claims: %v", v, err)
 			}
-			lh, ok := localClaims[subV]
-			if !ok {
+			lh := localClaims[subV]
+			if lh == noClaim {
 				t.Fatalf("node %d: no ball-local claim", v)
 			}
-			gh, ok := global[v]
-			if !ok {
+			gh := global[v]
+			if gh == noClaim {
 				t.Fatalf("node %d: no global claim", v)
 			}
 			// Translate the local claim back to the global graph.

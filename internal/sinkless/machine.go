@@ -41,19 +41,20 @@ type smMsg struct {
 
 // smTyped is the per-node state machine. It exchanges concrete smMsg
 // values through the engine's typed plane: Round writes into the
-// engine-owned send buffer, and the only mutable per-port scratch
-// (granted) is allocated once in Init, so the steady-state round loop
-// allocates nothing.
+// engine-owned send buffer, and the per-port state (nbrID, out,
+// granted) is reused by Init whenever its capacity fits the degree, so
+// neither the round loop nor a re-run allocates.
 type smTyped struct {
-	info    engine.NodeInfo
-	rng     *rand.Rand
-	round   int
-	claimP  int // claimed port
-	nbrID   []int64
-	out     []bool // out[p]: edge at port p currently leaves this node
-	granted []bool // granted[p]: this round released the edge at port p
-	reqPort int    // port requested this iteration (-1 none)
-	sinkFor int    // consecutive iterations spent as a sink
+	info     engine.NodeInfo
+	rng      *rand.Rand
+	fallback *rand.Rand // the nil-RNG stand-in, reseeded by every Init
+	round    int
+	claimP   int // claimed port
+	nbrID    []int64
+	out      []bool // out[p]: edge at port p currently leaves this node
+	granted  []bool // granted[p]: this round released the edge at port p
+	reqPort  int    // port requested this iteration (-1 none)
+	sinkFor  int    // consecutive iterations spent as a sink
 }
 
 var _ engine.TypedMachine[smMsg] = (*smTyped)(nil)
@@ -63,18 +64,35 @@ func (m *smTyped) Init(info engine.NodeInfo) {
 	m.rng = info.RNG
 	if m.rng == nil {
 		// Deterministic fallback keeps the machine usable in tests that
-		// run the runtime in deterministic mode.
-		m.rng = rand.New(rand.NewSource(info.ID))
+		// run the runtime in deterministic mode: the stream of
+		// rand.NewSource(info.ID), on a source kept across Inits.
+		if m.fallback == nil {
+			m.fallback = rand.New(engine.NewNodeSource(info.ID))
+		} else {
+			m.fallback.Seed(info.ID)
+		}
+		m.rng = m.fallback
 	}
 	m.round = 0
-	m.nbrID = make([]int64, info.Degree)
-	m.out = make([]bool, info.Degree)
-	m.granted = make([]bool, info.Degree)
+	m.nbrID = resize(m.nbrID, info.Degree)
+	m.out = resize(m.out, info.Degree)
+	m.granted = resize(m.granted, info.Degree)
 	m.reqPort = -1
 	m.sinkFor = 0
 	if info.Degree > 0 {
 		m.claimP = m.rng.Intn(info.Degree)
 	}
+}
+
+// resize returns s cleared to length n, reusing its array when the
+// capacity fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (m *smTyped) outDeg() int {
@@ -177,20 +195,22 @@ func (m *smTyped) Round(recv, send []smMsg) bool {
 // oppositeLoopPort finds the other port of a self-loop given one side.
 // With the message-only interface the machine cannot see edge identities,
 // so it pairs loop ports in ascending order, which matches both sides'
-// computation.
+// computation. Loop ports of rank 2i and 2i+1 pair up; an unpaired last
+// port maps to itself.
 func (m *smTyped) oppositeLoopPort(p int) int {
-	var loops []int
-	for q := 0; q < m.info.Degree; q++ {
+	rank := 0
+	for q := 0; q < p; q++ {
 		if m.nbrID[q] == m.info.ID {
-			loops = append(loops, q)
+			rank++
 		}
 	}
-	for i := 0; i+1 < len(loops); i += 2 {
-		if loops[i] == p {
-			return loops[i+1]
-		}
-		if loops[i+1] == p {
-			return loops[i]
+	r := 0
+	for q := 0; q < m.info.Degree; q++ {
+		if m.nbrID[q] == m.info.ID {
+			if r == rank^1 {
+				return q
+			}
+			r++
 		}
 	}
 	return p

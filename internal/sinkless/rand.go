@@ -2,6 +2,7 @@ package sinkless
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"locallab/internal/engine"
@@ -42,15 +43,18 @@ func (s *RandSolver) Solve(g *graph.Graph, in *lcl.Labeling, seed int64) (*lcl.L
 		return nil, nil, err
 	}
 
-	// Phase 1 (one round): random out-claims, canonical resolution.
-	claims := make(map[graph.NodeID]graph.Half, n)
+	// Phase 1 (one round): random out-claims, canonical resolution. One
+	// source, reseeded per node, draws every node's engine.DeriveRNG
+	// stream.
+	claims := newClaims(n)
+	rng := rand.New(engine.NewNodeSource(0))
 	for vi := 0; vi < n; vi++ {
 		v := graph.NodeID(vi)
 		d := g.Degree(v)
 		if d == 0 {
 			continue
 		}
-		rng := engine.DeriveRNG(seed, g.ID(v))
+		rng.Seed(engine.NodeSeed(seed, g.ID(v)))
 		claims[v] = g.HalfAt(v, int32(rng.Intn(d)))
 		cost.Charge(v, 1)
 	}
